@@ -270,7 +270,7 @@ void BM_CollapseInsert(benchmark::State& state) {
   }
   std::size_t stored = 0, raw = 0, states = 0;
   for (auto _ : state) {
-    verify::CollapsedStateSet set(1u << 30, mode);
+    verify::CollapsedStateSet set(1u << 30, {.compress = mode});
     for (std::size_t i = 0; i < encs.size(); ++i)
       benchmark::DoNotOptimize(set.insert(encs[i], all_marks[i]));
     stored = set.stored_bytes();

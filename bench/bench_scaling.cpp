@@ -31,7 +31,6 @@
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
-#include "verify/bitstate.hpp"
 #include "verify/checker.hpp"
 #include "verify/par_checker.hpp"
 
@@ -209,7 +208,8 @@ int main(int argc, char** argv) {
   Table table({"Semantics", "N", "Status", "States", "Time (s)", "Memory"});
   JsonArrayFile json;
 
-  auto base_row = [&](const char* semantics, int n, bool bitstate) {
+  auto record = [&](const char* semantics, int n,
+                    const verify::CheckResult& r) {
     JsonObject o;
     o.field("bench", "scaling")
         .field("protocol", "Migratory")
@@ -220,13 +220,7 @@ int main(int argc, char** argv) {
         .field("symmetry", verify::to_string(*symmetry))
         .field("por", verify::to_string(*por))
         .field("compress", verify::to_string(*compress))
-        .field("bitstate", bitstate);
-    return o;
-  };
-  auto record = [&](const char* semantics, int n,
-                    const verify::CheckResult& r) {
-    JsonObject o = base_row(semantics, n, /*bitstate=*/false);
-    o.field("status", verify::to_string(r.status))
+        .field("status", verify::to_string(r.status))
         .field("states", r.states)
         .field("transitions", r.transitions)
         .field("seconds", r.seconds)
@@ -236,19 +230,6 @@ int main(int argc, char** argv) {
         .field("raw_pool_bytes", r.raw_pool_bytes)
         .field("spill_bytes", r.spill_bytes)
         .field("external_bytes", r.external_bytes);
-    json.push(o);
-  };
-  auto record_bitstate = [&](const char* semantics, int n,
-                             const verify::BitstateResult& r) {
-    JsonObject o = base_row(semantics, n, /*bitstate=*/true);
-    o.field("status", r.state_bounded ? "approximate (capped)" : "approximate")
-        .field("states", r.states)
-        .field("transitions", r.transitions)
-        .field("seconds", r.seconds)
-        .field("memory_bytes", r.memory_bytes)
-        // Bitstate keeps its bit array in RAM; zeros keep the schema uniform.
-        .field("spill_bytes", std::size_t{0})
-        .field("external_bytes", std::size_t{0});
     json.push(o);
   };
 
@@ -263,7 +244,8 @@ int main(int argc, char** argv) {
     sem::RendezvousSystem sys(p, n);
     auto r = jobs <= 1 ? verify::explore(sys, opts)
                        : verify::par_explore(sys, opts, jobs, shards);
-    table.row({"rendezvous (32MB)", strf("%d", n),
+    table.row({strf("rendezvous (%s)", human_bytes(rv_mem).c_str()),
+               strf("%d", n),
                verify::to_string(r.status), strf("%zu", r.states),
                strf("%.2f", r.seconds), human_bytes(r.memory_bytes)});
     record("rendezvous", n, r);
@@ -281,25 +263,12 @@ int main(int argc, char** argv) {
     runtime::AsyncSystem sys(rp, n);
     auto r = jobs <= 1 ? verify::explore(sys, opts)
                        : verify::par_explore(sys, opts, jobs, shards);
-    table.row({"asynchronous (64MB)", strf("%d", n),
+    table.row({strf("asynchronous (%s)", human_bytes(as_mem).c_str()),
+               strf("%d", n),
                verify::to_string(r.status), strf("%zu", r.states),
                strf("%.2f", r.seconds), human_bytes(r.memory_bytes)});
     record("asynchronous", n, r);
     if (r.status != verify::Status::Ok) break;
-  }
-
-  // Past the exact-checker wall, SPIN's 1997 workaround was bitstate
-  // hashing (-DBITSTATE, "supertrace"): approximate coverage in fixed
-  // memory. Counts are lower bounds on the reachable states.
-  for (int n : {5, 6}) {
-    auto r = verify::explore_bitstate(runtime::AsyncSystem(rp, n),
-                                      8u << 20, 100000, {},
-                                      /*max_states=*/250000, *symmetry);
-    table.row({"async bitstate (8MB)", strf("%d", n),
-               r.state_bounded ? "approximate (capped)" : "approximate",
-               strf("%zu+", r.states), strf("%.2f", r.seconds),
-               human_bytes(r.memory_bytes)});
-    record_bitstate("asynchronous", n, r);
   }
 
   table.print(std::cout);
@@ -307,8 +276,7 @@ int main(int argc, char** argv) {
       "\npaper: rendezvous checkable to N=64 in 32MB; asynchronous only N=2 "
       "in 64MB.\nOur per-state footprint is smaller than SPIN 2.x's, so the "
       "asynchronous wall sits at N=6 instead of N=4, with the same "
-      "exponential shape.\nBitstate rows show Holzmann supertrace coverage "
-      "beyond the exact-checker wall.\n");
+      "exponential shape.\n");
   if (!json_path.empty() && !json.write(json_path)) return 1;
   return 0;
 }

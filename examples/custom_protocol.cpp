@@ -19,7 +19,6 @@
 #include "sem/rendezvous.hpp"
 #include "support/cli.hpp"
 #include "support/storage_cli.hpp"
-#include "verify/bitstate.hpp"
 #include "verify/checker.hpp"
 #include "verify/par_checker.hpp"
 #include "verify/progress.hpp"
@@ -75,10 +74,6 @@ int main(int argc, char** argv) {
       "symmetry", "off", "symmetry reduction: off | canonical");
   std::string por_arg = cli.str_flag(
       "por", "off", "partial-order reduction: off | ample");
-  bool bitstate = cli.bool_flag(
-      "bitstate", false,
-      "approximate supertrace search (8MB bit array; skips the simulation "
-      "and progress checks)");
   std::string ltl_text = cli.str_flag(
       "ltl", "", "LTL property to check on the asynchronous system, "
                  "e.g. \"G F completion\"");
@@ -134,22 +129,6 @@ int main(int argc, char** argv) {
     std::printf("warnings:\n%s\n", ir::to_string(diags).c_str());
 
   sem::RendezvousSystem rendezvous(p, n);
-  if (bitstate) {
-    auto rb = verify::explore_bitstate(rendezvous, 8u << 20, 100000, {},
-                                       /*max_states=*/0, *symmetry);
-    std::printf("rendezvous (%d remotes, bitstate): %zu+ states (%.3fs)\n",
-                n, rb.states, rb.seconds);
-    auto refined_bit = refine::refine(p);
-    auto ab = verify::explore_bitstate(
-        runtime::AsyncSystem(refined_bit, n), 8u << 20, 100000, {},
-        /*max_states=*/0, *symmetry);
-    std::printf("asynchronous (%d remotes, bitstate): %zu+ states (%.3fs)\n",
-                n, ab.states, ab.seconds);
-    std::printf("\nbitstate coverage only — rerun without --bitstate for the "
-                "exact search\nwith the Equation 1 simulation and progress "
-                "checks.\n");
-    return 0;
-  }
   verify::CheckOptions<sem::RendezvousSystem> rv_opts;
   rv_opts.memory_limit = storage.memory_limit;
   rv_opts.hash_compact = storage.hash_compact;

@@ -19,7 +19,6 @@
 #include "support/storage_cli.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
-#include "verify/bitstate.hpp"
 #include "verify/checker.hpp"
 #include "verify/par_checker.hpp"
 #include "verify/progress.hpp"
@@ -43,10 +42,6 @@ int main(int argc, char** argv) {
       "symmetry", "off", "symmetry reduction: off | canonical");
   std::string por_arg = cli.str_flag(
       "por", "off", "partial-order reduction: off | ample");
-  bool bitstate = cli.bool_flag(
-      "bitstate", false,
-      "approximate supertrace verification (8MB bit array; skips the "
-      "simulation and progress checks)");
   std::string ltl_text = cli.str_flag(
       "ltl", "", "LTL property to check on the asynchronous system, "
                  "e.g. \"G (requested(0) -> F granted(0))\"");
@@ -86,98 +81,77 @@ int main(int argc, char** argv) {
   const int check_n = std::min(n, 3);
   sem::RendezvousSystem rendezvous(p, check_n);
   auto refined = refine::refine(p);
-  if (bitstate) {
-    // Supertrace mode: invariant violations found are real; state counts
-    // are lower bounds, and the simulation/progress checks need the exact
-    // engine.
-    auto rb = verify::explore_bitstate(
-        rendezvous, 8u << 20, 100000,
-        protocols::lock_server_invariant(p, check_n), /*max_states=*/0,
-        *symmetry);
-    std::printf("rendezvous mutual exclusion (%d clients, bitstate): %s "
-                "(%zu+ states)\n",
-                check_n, rb.violation.empty() ? "Ok" : "VIOLATED", rb.states);
-    auto ab = verify::explore_bitstate(
-        runtime::AsyncSystem(refined, check_n), 8u << 20, 100000,
-        protocols::lock_server_async_invariant(p, check_n), /*max_states=*/0,
-        *symmetry);
-    std::printf("asynchronous mutual exclusion (%d clients, bitstate): %s "
-                "(%zu+ states)\n\n",
-                check_n, ab.violation.empty() ? "Ok" : "VIOLATED", ab.states);
-    if (!rb.violation.empty() || !ab.violation.empty()) return 1;
-  } else {
-    verify::CheckOptions<sem::RendezvousSystem> rv_opts;
-    rv_opts.memory_limit = storage.memory_limit;
-    rv_opts.hash_compact = storage.hash_compact;
-    rv_opts.spill = storage.spill;
-    rv_opts.external = storage.external;
-    rv_opts.symmetry = *symmetry;
-    rv_opts.compress = *compress;
-    rv_opts.invariant = protocols::lock_server_invariant(p, check_n);
-    auto rv = jobs <= 1 ? verify::explore(rendezvous, rv_opts)
-                        : verify::par_explore(rendezvous, rv_opts, jobs, shards);
-    std::printf("rendezvous mutual exclusion (%d clients): %s (%zu states)\n",
-                check_n, verify::to_string(rv.status), rv.states);
+  verify::CheckOptions<sem::RendezvousSystem> rv_opts;
+  rv_opts.memory_limit = storage.memory_limit;
+  rv_opts.hash_compact = storage.hash_compact;
+  rv_opts.spill = storage.spill;
+  rv_opts.external = storage.external;
+  rv_opts.symmetry = *symmetry;
+  rv_opts.compress = *compress;
+  rv_opts.invariant = protocols::lock_server_invariant(p, check_n);
+  auto rv = jobs <= 1 ? verify::explore(rendezvous, rv_opts)
+                      : verify::par_explore(rendezvous, rv_opts, jobs, shards);
+  std::printf("rendezvous mutual exclusion (%d clients): %s (%zu states)\n",
+              check_n, verify::to_string(rv.status), rv.states);
 
-    runtime::AsyncSystem async(refined, check_n);
-    // Validate user-supplied LTL before the exploration so a typo fails fast.
-    if (!ltl_text.empty()) {
-      auto compiled = ltl::compile(async, ltl_text);
-      if (!compiled.error.empty()) {
-        std::fprintf(stderr, "bad --ltl property: %s\n",
-                     compiled.error.c_str());
-        return 2;
-      }
+  runtime::AsyncSystem async(refined, check_n);
+  // Validate user-supplied LTL before the exploration so a typo fails fast.
+  if (!ltl_text.empty()) {
+    auto compiled = ltl::compile(async, ltl_text);
+    if (!compiled.error.empty()) {
+      std::fprintf(stderr, "bad --ltl property: %s\n",
+                   compiled.error.c_str());
+      return 2;
     }
-    verify::CheckOptions<runtime::AsyncSystem> as_opts;
-    as_opts.memory_limit = storage.memory_limit;
-    as_opts.hash_compact = storage.hash_compact;
-    as_opts.spill = storage.spill;
-    as_opts.external = storage.external;
-    as_opts.symmetry = *symmetry;
-    // Invariant + edge check force the engine to see every state and edge,
-    // so --por ample is downgraded here (the note says so); the progress
-    // and LTL checks below still honor it.
-    as_opts.por = *por;
-    as_opts.compress = *compress;
-    as_opts.invariant = protocols::lock_server_async_invariant(p, check_n);
-    as_opts.edge_check = refine::make_simulation_checker(async, rendezvous);
-    auto as = jobs <= 1 ? verify::explore(async, as_opts)
-                        : verify::par_explore(async, as_opts, jobs, shards);
-    std::printf("asynchronous + Equation 1 (%d clients): %s (%zu states)\n",
-                check_n, verify::to_string(as.status), as.states);
-    if (!as.note.empty()) std::printf("  note: %s\n", as.note.c_str());
-    verify::ProgressOptions prog_opts;
-    prog_opts.por = *por;
-    prog_opts.compress = *compress;
-    auto prog = verify::check_progress(async, prog_opts);
-    std::printf("forward progress: %zu doomed states\n", prog.doomed);
-    if (rv.status != verify::Status::Ok || as.status != verify::Status::Ok ||
-        prog.doomed != 0)
-      return 1;
-
-    if (!ltl_text.empty()) {
-      verify::LivenessOptions lopts;
-      lopts.fairness = *fairness;
-      lopts.symmetry = *symmetry;
-      lopts.por = *por;
-      lopts.compress = *compress;
-      auto live = ltl::check_ltl(async, ltl_text, lopts);
-      std::printf("ltl %s under %s fairness: %s, %zu product states\n",
-                  ltl_text.c_str(), verify::to_string(*fairness),
-                  verify::to_string(live.status), live.states);
-      if (!live.note.empty()) std::printf("  note: %s\n", live.note.c_str());
-      if (live.status != verify::Status::Ok) {
-        std::printf("  %s\n", live.violation.c_str());
-        for (const auto& step : live.stem)
-          std::printf("  %s\n", step.c_str());
-        for (const auto& step : live.cycle)
-          std::printf("  (cycle) %s\n", step.c_str());
-        return 1;
-      }
-    }
-    std::printf("\n");
   }
+  verify::CheckOptions<runtime::AsyncSystem> as_opts;
+  as_opts.memory_limit = storage.memory_limit;
+  as_opts.hash_compact = storage.hash_compact;
+  as_opts.spill = storage.spill;
+  as_opts.external = storage.external;
+  as_opts.symmetry = *symmetry;
+  // Invariant + edge check force the engine to see every state and edge,
+  // so --por ample is downgraded here (the note says so); the progress
+  // and LTL checks below still honor it.
+  as_opts.por = *por;
+  as_opts.compress = *compress;
+  as_opts.invariant = protocols::lock_server_async_invariant(p, check_n);
+  as_opts.edge_check = refine::make_simulation_checker(async, rendezvous);
+  auto as = jobs <= 1 ? verify::explore(async, as_opts)
+                      : verify::par_explore(async, as_opts, jobs, shards);
+  std::printf("asynchronous + Equation 1 (%d clients): %s (%zu states)\n",
+              check_n, verify::to_string(as.status), as.states);
+  if (!as.note.empty()) std::printf("  note: %s\n", as.note.c_str());
+  verify::ProgressOptions prog_opts;
+  prog_opts.por = *por;
+  prog_opts.compress = *compress;
+  auto prog = verify::check_progress(async, prog_opts);
+  std::printf("forward progress: %zu doomed states\n", prog.doomed);
+  if (rv.status != verify::Status::Ok || as.status != verify::Status::Ok ||
+      prog.doomed != 0)
+    return 1;
+
+  if (!ltl_text.empty()) {
+    verify::LivenessOptions lopts;
+    lopts.fairness = *fairness;
+    lopts.symmetry = *symmetry;
+    lopts.por = *por;
+    lopts.compress = *compress;
+    auto live = ltl::check_ltl(async, ltl_text, lopts);
+    std::printf("ltl %s under %s fairness: %s, %zu product states\n",
+                ltl_text.c_str(), verify::to_string(*fairness),
+                verify::to_string(live.status), live.states);
+    if (!live.note.empty()) std::printf("  note: %s\n", live.note.c_str());
+    if (live.status != verify::Status::Ok) {
+      std::printf("  %s\n", live.violation.c_str());
+      for (const auto& step : live.stem)
+        std::printf("  %s\n", step.c_str());
+      for (const auto& step : live.cycle)
+        std::printf("  (cycle) %s\n", step.c_str());
+      return 1;
+    }
+  }
+  std::printf("\n");
 
   // ---- simulate a convoy ---------------------------------------------------------
   refine::Options sim_opts_r;

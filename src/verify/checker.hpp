@@ -25,6 +25,7 @@
 #include "verify/collapse.hpp"
 #include "verify/por.hpp"
 #include "verify/state_set.hpp"
+#include "verify/storage_plan.hpp"
 #include "verify/symmetry.hpp"
 
 namespace ccref::verify {
@@ -80,7 +81,7 @@ struct CheckResult {
   double omission_probability = 0;
   double seconds = 0;
   std::string violation;           // message for violated invariant
-  std::string note;                // engine notes (e.g. a POR downgrade)
+  std::string note;                // downgrades, from resolve()
   std::vector<std::string> trace;  // labels root -> offending state
 };
 
@@ -224,39 +225,32 @@ auto successors_of(const Sys& sys, const typename Sys::State& s,
   }
 }
 
+/// Per-step match for stored encodings: size, then hash, then bytes — so
+/// replaying a chain is linear in the encoded bytes enumerated.
+inline auto same_encoding(std::span<const std::byte> child) {
+  return [child, hash = hash_bytes(child)](std::span<const std::byte> enc) {
+    return enc.size() == child.size() && hash_bytes(enc) == hash &&
+           std::equal(enc.begin(), enc.end(), child.begin());
+  };
+}
+
 /// One step of trace replay: find the successor of `cur` whose (canonical)
-/// encoding equals `child_bytes`, append its label + description to
-/// `labels`, and advance `cur` to that *concrete* successor. Under symmetry
-/// the stored child is only an orbit representative; matching the canonical
-/// encoding while carrying the concrete successor forward re-concretizes the
-/// trace into a real path of the uncanonicalized transition relation (the
-/// orbit re-search scheme — no per-step permutations are stored). Compares
-/// size, then hash, then bytes — and reuses the caller's ByteSink — so
-/// replaying a chain is linear in the encoded bytes enumerated, not
-/// quadratic in re-allocated vectors.
-template <class Sys>
+/// encoding satisfies `match`, append its label + description to `labels`,
+/// and advance `cur` to that *concrete* successor. Under symmetry the
+/// stored child is only an orbit representative; matching the canonical
+/// encoding while carrying the concrete successor forward re-concretizes
+/// the trace into a real path of the uncanonicalized transition relation
+/// (the orbit re-search scheme — no per-step permutations are stored).
+template <class Sys, class Match>
 void append_step_label(const Sys& sys, typename Sys::State& cur,
-                       std::span<const std::byte> child_bytes,
-                       SymmetryMode symmetry, ByteSink& sink,
-                       std::vector<std::string>& labels) {
-  const std::uint64_t child_hash = hash_bytes(child_bytes);
+                       const Match& match, SymmetryMode symmetry,
+                       ByteSink& sink, std::vector<std::string>& labels) {
   for (auto& [succ, label] : sys.successors(cur)) {
+    auto rep = succ;
+    maybe_canonicalize(sys, rep, symmetry);
     sink.clear();
-    if constexpr (HasCanonicalize<Sys>) {
-      if (symmetry == SymmetryMode::Canonical) {
-        auto rep = succ;
-        sys.canonicalize(rep);
-        sys.encode(rep, sink);
-      } else {
-        sys.encode(succ, sink);
-      }
-    } else {
-      sys.encode(succ, sink);
-    }
-    auto enc = sink.bytes();
-    if (enc.size() != child_bytes.size()) continue;
-    if (hash_bytes(enc) != child_hash) continue;
-    if (!std::equal(enc.begin(), enc.end(), child_bytes.begin())) continue;
+    sys.encode(rep, sink);
+    if (!match(sink.bytes())) continue;
     labels.push_back(label.text + "  =>  " + sys.describe(succ));
     cur = std::move(succ);
     return;
@@ -264,93 +258,85 @@ void append_step_label(const Sys& sys, typename Sys::State& cur,
   labels.push_back("<trace reconstruction failed>");
 }
 
-/// Replay a root-first chain of stored encodings into trace labels (labels
-/// are not stored during exploration to keep the visited set lean). Shared
-/// by the sequential and sharded reconstructions.
-template <class Sys>
-std::vector<std::string> replay_chain(
-    const Sys& sys, const std::vector<std::span<const std::byte>>& chain,
-    SymmetryMode symmetry) {
-  std::vector<std::string> labels;
-  ByteSource root_src(chain.front());
-  auto cur = sys.decode(root_src);
-  labels.push_back("initial: " + sys.describe(cur));
+/// Replay a root-first chain of stored states into trace labels (labels
+/// are not stored during exploration to keep the visited set lean). The
+/// one replay both engines' chain collectors feed. Byte tiers start from
+/// the stored root and match each stored encoding (`bytes_of` may return
+/// a scratch span; each is used before the next call). Fingerprinted tiers
+/// kept no bytes: replay starts at the concrete initial state and matches
+/// fingerprints. Every step is still a real transition enumerated from a
+/// concrete state, so the trace is a genuine path; the fingerprints only
+/// SELECT among the real successors. (A mid-chain collision could select a
+/// different genuine successor; the violation itself was established on
+/// the concrete state at exploration time, so the endpoint is never
+/// fabricated.)
+template <class Sys, class Link, class BytesOf, class FingerprintOf>
+std::vector<std::string> replay_chain(const Sys& sys,
+                                      const std::vector<Link>& chain,
+                                      const StoragePlan& plan,
+                                      BytesOf&& bytes_of,
+                                      FingerprintOf&& fingerprint_of,
+                                      SymmetryMode symmetry) {
+  auto cur = [&] {
+    if (plan.fingerprinted) return sys.initial();
+    ByteSource root(bytes_of(chain.front()));
+    return sys.decode(root);
+  }();
+  std::vector<std::string> labels{"initial: " + sys.describe(cur)};
   ByteSink sink;
-  for (std::size_t i = 1; i < chain.size(); ++i)
-    append_step_label(sys, cur, chain[i], symmetry, sink, labels);
-  return labels;
-}
-
-/// One step of fingerprint-based trace replay: advance `cur` to the
-/// successor whose (canonical) encoding fingerprints to `child_fp`. Under
-/// hash compaction the visited set kept no state bytes, only fingerprints
-/// — but every step taken here is a real transition enumerated from a
-/// concrete state, so the resulting trace is a genuine path of the system;
-/// the fingerprints only SELECT among the real successors. (A mid-chain
-/// fingerprint collision could select a different genuine successor; the
-/// violation itself was established on the concrete state at exploration
-/// time, so the endpoint is never fabricated.)
-template <class Sys>
-void append_step_label_fp(const Sys& sys, typename Sys::State& cur,
-                          std::uint64_t child_fp, FingerprintFn fp,
-                          SymmetryMode symmetry, ByteSink& sink,
-                          std::vector<std::string>& labels) {
-  for (auto& [succ, label] : sys.successors(cur)) {
-    sink.clear();
-    if constexpr (HasCanonicalize<Sys>) {
-      if (symmetry == SymmetryMode::Canonical) {
-        auto rep = succ;
-        sys.canonicalize(rep);
-        sys.encode(rep, sink);
-      } else {
-        sys.encode(succ, sink);
-      }
+  for (std::size_t i = 1; i < chain.size(); ++i) {
+    if (plan.fingerprinted) {
+      const std::uint64_t want = fingerprint_of(chain[i]);
+      const FingerprintFn fp = plan.storage.fingerprint;
+      append_step_label(
+          sys, cur,
+          [&](std::span<const std::byte> enc) { return fp(enc) == want; },
+          symmetry, sink, labels);
     } else {
-      sys.encode(succ, sink);
+      append_step_label(sys, cur, same_encoding(bytes_of(chain[i])),
+                        symmetry, sink, labels);
     }
-    if (fp(sink.bytes()) != child_fp) continue;
-    labels.push_back(label.text + "  =>  " + sys.describe(succ));
-    cur = std::move(succ);
-    return;
   }
-  labels.push_back("<trace reconstruction failed>");
-}
-
-/// Replay a root-first fingerprint chain into trace labels, starting from
-/// the system's concrete initial state. Shared by the sequential and
-/// sharded hash-compaction reconstructions.
-template <class Sys>
-std::vector<std::string> replay_fp_chain(const Sys& sys,
-                                         const std::vector<std::uint64_t>& fps,
-                                         FingerprintFn fp,
-                                         SymmetryMode symmetry) {
-  std::vector<std::string> labels;
-  auto cur = sys.initial();
-  labels.push_back("initial: " + sys.describe(cur));
-  ByteSink sink;
-  for (std::size_t i = 1; i < fps.size(); ++i)
-    append_step_label_fp(sys, cur, fps[i], fp, symmetry, sink, labels);
   return labels;
 }
 
-/// Recompute the label sequence root -> `target` by replaying successor
-/// enumeration along the BFS parent chain. The chain copies each state's
-/// bytes: under Collapse, seen.at() re-expands into a scratch buffer that
-/// the next at() overwrites, so spans cannot be held across the walk.
+/// Sequential chain collector: the BFS ancestry of `target`, root first.
+/// Parents come from the engine's vector (root marker 0xffffffff), or from
+/// the on-disk order log under the external tier, whose inserts answer
+/// Deferred so the vector was never fed (its kNoParentIndex truncates to
+/// the same root marker).
 template <class Sys>
 std::vector<std::string> rebuild_trace(const Sys& sys,
                                        const CollapsedStateSet& seen,
                                        const std::vector<std::uint32_t>& parent,
                                        std::uint32_t target,
+                                       const StoragePlan& plan,
                                        SymmetryMode symmetry) {
-  std::vector<std::vector<std::byte>> owned;
-  for (std::uint32_t at = target; at != 0xffffffffu; at = parent[at]) {
-    auto b = seen.at(at);
-    owned.emplace_back(b.begin(), b.end());
-  }
-  std::reverse(owned.begin(), owned.end());
-  std::vector<std::span<const std::byte>> chain(owned.begin(), owned.end());
-  return replay_chain(sys, chain, symmetry);
+  std::vector<std::uint32_t> chain;
+  for (std::uint32_t at = target; at != 0xffffffffu;
+       at = seen.external() ? static_cast<std::uint32_t>(seen.parent_at(at))
+                            : parent[at])
+    chain.push_back(at);
+  std::reverse(chain.begin(), chain.end());
+  return replay_chain(
+      sys, chain, plan, [&](std::uint32_t i) { return seen.at(i); },
+      [&](std::uint32_t i) { return seen.fingerprint_at(i); }, symmetry);
+}
+
+/// Copy a visited set's final statistics into `result` (either set type).
+template <class Set>
+void record_storage(CheckResult& result, const Set& seen,
+                    const StoragePlan& plan) {
+  result.states = seen.size();
+  result.memory_bytes = seen.memory_used();
+  result.pool_bytes = seen.stored_bytes();
+  result.raw_pool_bytes = seen.raw_bytes();
+  result.spill_bytes = seen.spill_bytes();
+  result.waste_bytes = seen.waste_bytes();
+  result.external_bytes = seen.external_bytes();
+  result.merge_passes = seen.merge_passes();
+  if (plan.fingerprinted)
+    result.omission_probability = omission_bound(seen.size());
 }
 
 /// How a bfs_reach() run ended.
@@ -485,47 +471,16 @@ template <class Sys>
 [[nodiscard]] CheckResult explore(const Sys& sys,
                                   const CheckOptions<Sys>& opts = {}) {
   auto t0 = std::chrono::steady_clock::now();
-  CheckResult result;
+  const StoragePlan plan = resolve(opts);
   const bool external = opts.external.enabled();
-  StorageOptions st{.compress = opts.compress,
-                    .hash_compact = opts.hash_compact,
-                    .fingerprint = opts.fingerprint,
-                    // The fingerprint log exists only to re-concretize
-                    // counterexamples; skip its 8 B/state (or the on-disk
-                    // order log) when no trace is wanted.
-                    .keep_fingerprints =
-                        (opts.hash_compact || external) && opts.want_trace,
-                    .spill = opts.spill,
-                    .external = opts.external,
-                    .expected_states = opts.expected_states};
-  auto add_note = [&](const char* text) {
-    if (!result.note.empty()) result.note += "; ";
-    result.note += text;
-  };
-  if (external && opts.hash_compact)
-    add_note(
-        "hash-compact is subsumed by the external tier: it stores the "
-        "same 64-bit fingerprints, on disk");
-  if ((opts.hash_compact || external) &&
-      opts.compress != CompressionMode::Off)
-    add_note(
-        "compress ignored under hash compaction: fingerprints leave no "
-        "stored bytes to compress");
-  CollapsedStateSet seen(opts.memory_limit, st);
+  CheckResult result;
+  result.note = plan.note;
+  CollapsedStateSet seen(opts.memory_limit, plan.storage);
   std::vector<std::uint32_t> parent;
 
   auto finish = [&](Status status) {
     result.status = status;
-    result.states = seen.size();
-    result.memory_bytes = seen.memory_used();
-    result.pool_bytes = seen.stored_bytes();
-    result.raw_pool_bytes = seen.raw_bytes();
-    result.spill_bytes = seen.spill_bytes();
-    result.waste_bytes = seen.waste_bytes();
-    result.external_bytes = seen.external_bytes();
-    result.merge_passes = seen.merge_passes();
-    if (opts.hash_compact || external)
-      result.omission_probability = omission_bound(seen.size());
+    detail::record_storage(result, seen, plan);
     result.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -534,37 +489,9 @@ template <class Sys>
 
   auto fail_at = [&](Status status, std::uint32_t index, std::string msg) {
     result.violation = std::move(msg);
-    if (opts.want_trace) {
-      if (external) {
-        // Parents live in the on-disk order log (inserts answered
-        // Deferred, so the engine-side parent vector was never fed);
-        // replay the fingerprint chain like hash compaction does.
-        std::vector<std::uint64_t> fps;
-        for (std::uint64_t at = index;
-             at != CollapsedStateSet::kNoParentIndex;
-             at = seen.parent_at(static_cast<std::uint32_t>(at)))
-          fps.push_back(seen.fingerprint_at(static_cast<std::uint32_t>(at)));
-        std::reverse(fps.begin(), fps.end());
-        result.trace = detail::replay_fp_chain(
-            sys, fps,
-            opts.fingerprint != nullptr ? opts.fingerprint
-                                        : &default_fingerprint,
-            opts.symmetry);
-      } else if (opts.hash_compact) {
-        std::vector<std::uint64_t> fps;
-        for (std::uint32_t at = index; at != 0xffffffffu; at = parent[at])
-          fps.push_back(seen.fingerprint_at(at));
-        std::reverse(fps.begin(), fps.end());
-        result.trace = detail::replay_fp_chain(
-            sys, fps,
-            opts.fingerprint != nullptr ? opts.fingerprint
-                                        : &default_fingerprint,
-            opts.symmetry);
-      } else {
-        result.trace =
-            detail::rebuild_trace(sys, seen, parent, index, opts.symmetry);
-      }
-    }
+    if (opts.want_trace)
+      result.trace = detail::rebuild_trace(sys, seen, parent, index, plan,
+                                           opts.symmetry);
     return finish(status);
   };
 
@@ -572,28 +499,6 @@ template <class Sys>
   // traces are rebuilt (with full labels) only after a violation.
   const sem::LabelMode mode =
       opts.edge_check ? sem::LabelMode::Full : sem::LabelMode::Quiet;
-
-  // Invariants and edge checks observe state/edge detail the ample sets are
-  // not invisible to (C2): a reduced search would check them only on the
-  // reduced graph. Downgrade rather than return a weaker verdict.
-  PorMode por = opts.por;
-  if (por == PorMode::Ample && (opts.invariant || opts.edge_check)) {
-    por = PorMode::Off;
-    add_note(
-        "por downgraded to off: invariants/edge checks must see every "
-        "reachable state and edge");
-  }
-  // The ample cycle proviso (C3) re-expands a state when an ample
-  // successor reads back AlreadyPresent; the external tier answers
-  // Deferred instead, which must conservatively count as a revisit — so
-  // every state would expand fully and the reduction would evaporate
-  // while still reporting reduced-looking counts. Downgrade honestly.
-  if (por == PorMode::Ample && external) {
-    por = PorMode::Off;
-    add_note(
-        "por downgraded to off: the external tier defers duplicate "
-        "detection, so the ample cycle proviso cannot observe revisits");
-  }
 
   // Violation details are captured here by the callbacks; the matching
   // fail_at() runs once bfs_reach returns Stopped.
@@ -609,7 +514,7 @@ template <class Sys>
   parent.push_back(0xffffffffu);  // the root bfs_reach is about to insert
 
   auto outcome = detail::bfs_reach(
-      sys, seen, opts.symmetry, mode, por, /*por_visible=*/0,
+      sys, seen, opts.symmetry, mode, plan.por, /*por_visible=*/0,
       [&](std::uint32_t index, const auto& state, const auto& succs) {
         // RAM tiers check invariants on fresh successors at insertion (and
         // the root here); the external tier never materializes a fresh

@@ -93,38 +93,29 @@ using FingerprintFn = std::uint64_t (*)(std::span<const std::byte>);
   return hash_bytes(bytes);
 }
 
-/// Storage-tier routing for a visited set, assembled by the checkers from
-/// CheckOptions and threaded to every set/shard/dictionary: which
-/// compression tier stores states, whether hash compaction replaces byte
-/// storage entirely, and where chunked pools overflow once RAM runs out.
+/// Storage-tier routing for a visited set, assembled by resolve()
+/// (storage_plan.hpp) from CheckOptions and threaded to every
+/// set/shard/dictionary: which compression tier stores states, whether
+/// hash compaction replaces byte storage entirely, and where chunked pools
+/// overflow once RAM runs out.
 struct StorageOptions {
-  /// The pre-StorageOptions ctor surface (mode + hint only), kept so the
-  /// liveness/progress callers and older tests read unchanged.
-  [[nodiscard]] static StorageOptions legacy(CompressionMode mode,
-                                             std::size_t expected_states) {
-    StorageOptions st;
-    st.compress = mode;
-    st.expected_states = expected_states;
-    return st;
-  }
-
   CompressionMode compress = CompressionMode::Off;
   /// Store a 64-bit fingerprint per state instead of (collapsed) bytes.
   /// Under compaction `compress` is moot — there are no pooled bytes left
-  /// to compress — and the checkers record a note when both are requested.
+  /// to compress — and resolve() records a note when both are requested.
   bool hash_compact = false;
   FingerprintFn fingerprint = nullptr;  // null: default_fingerprint
   /// Keep the insertion-ordered fingerprint list (4+8 bytes/state extra)
   /// so counterexample traces can be re-concretized by fingerprint replay.
   /// Under the external tier this selects the on-disk order log instead.
   bool keep_fingerprints = false;
-  SpillPolicy spill;
+  SpillPolicy spill{};
   /// Disk-backed visited tier (external_set.hpp): fingerprints live in
   /// partitioned run files with a RAM cache front, membership resolves by
   /// sorted-run delayed duplicate detection. Subsumes hash_compact (same
   /// fingerprint representation, hence the same omission bound) and makes
-  /// `compress` moot; the checkers note both downgrades.
-  ExternalPolicy external;
+  /// `compress` moot; resolve() notes both downgrades.
+  ExternalPolicy external{};
   std::size_t expected_states = 0;
 };
 
@@ -134,13 +125,7 @@ class CollapsedStateSet {
   using InsertResult = StateSet::InsertResult;
 
   explicit CollapsedStateSet(std::size_t memory_limit_bytes,
-                             CompressionMode mode = CompressionMode::Off,
-                             std::size_t expected_states = 0)
-      : CollapsedStateSet(memory_limit_bytes,
-                          StorageOptions::legacy(mode, expected_states)) {}
-
-  /// Owning constructor with full storage routing.
-  CollapsedStateSet(std::size_t memory_limit_bytes, const StorageOptions& st)
+                             const StorageOptions& st = {})
       : owned_(std::make_unique<MemoryBudget>(memory_limit_bytes)),
         budget_(owned_.get()),
         st_(st),
@@ -149,15 +134,6 @@ class CollapsedStateSet {
                 table_bound(st) ? kDictSlots : kTableSlots, st.spill) {
     init_tiers();
   }
-
-  /// Shard constructor: draw on a budget shared with sibling sets (the
-  /// caller keeps `budget` alive). Dictionaries are then per-shard too —
-  /// canonical encodings hash to one shard, so sibling dictionaries never
-  /// need to agree on indices.
-  CollapsedStateSet(MemoryBudget& budget, CompressionMode mode,
-                    std::size_t expected_states = 0)
-      : CollapsedStateSet(budget,
-                          StorageOptions::legacy(mode, expected_states)) {}
 
   CollapsedStateSet(MemoryBudget& budget, const StorageOptions& st)
       : budget_(&budget),
@@ -252,11 +228,6 @@ class CollapsedStateSet {
     return scratch_;
   }
 
-  [[nodiscard]] std::uint64_t hash_at(std::uint32_t index) const {
-    CCREF_REQUIRE(!st_.hash_compact);
-    return tuples_.hash_at(index);
-  }
-
   /// Fingerprint of the index-th inserted state (hash-compact or external
   /// runs with keep_fingerprints — the trace-replay fallback).
   [[nodiscard]] std::uint64_t fingerprint_at(std::uint32_t index) const {
@@ -305,8 +276,6 @@ class CollapsedStateSet {
   [[nodiscard]] MemoryBudget& budget() { return *budget_; }
 
   [[nodiscard]] CompressionMode mode() const { return mode_; }
-
-  [[nodiscard]] bool hash_compact() const { return st_.hash_compact; }
 
   [[nodiscard]] bool external() const { return ext_ != nullptr; }
 

@@ -2,10 +2,11 @@
 // one 64-bit fingerprint per state instead of the full (or collapsed)
 // byte vector.
 //
-// This is the storage tier between full/COLLAPSE storage and --bitstate:
+// This is the probabilistic storage tier below full/COLLAPSE storage:
 // ~11.4 bytes per state at the 0.7 load factor, against ~60 raw or ~20
 // collapsed — but two distinct states whose fingerprints collide dedupe
-// to one, so the second is never expanded. Unlike bitstate the damage is
+// to one, so the second is never expanded. Unlike Holzmann's supertrace
+// (two hash bits per state, which undercounts silently) the damage is
 // quantifiable: for n states and a 64-bit fingerprint the birthday bound
 // puts the probability that ANY state was omitted at ~n(n-1)/2^65, which
 // the checker reports alongside the verdict (omission_probability in

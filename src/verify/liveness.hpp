@@ -257,8 +257,9 @@ template <class Sys>
     return -1;
   };
 
-  CollapsedStateSet seen(opts.memory_limit, opts.compress,
-                         opts.expected_states);
+  CollapsedStateSet seen(opts.memory_limit,
+                         {.compress = opts.compress,
+                          .expected_states = opts.expected_states});
   std::vector<std::uint32_t> parent;         // first-discovery BFS parent
   std::vector<std::uint32_t> aut_of;         // automaton component per state
   std::vector<std::uint64_t> grant_enabled;  // Streett E_i bits per state
@@ -641,8 +642,9 @@ template <class Sys>
         labels.push_back("(deadlock: stutters forever)");
         return;
       }
-      detail::append_step_label(sys, cur_state, sys_span(idx), symmetry,
-                                replay_sink, labels);
+      detail::append_step_label(sys, cur_state,
+                                detail::same_encoding(sys_span(idx)),
+                                symmetry, replay_sink, labels);
     };
     for (std::size_t i = 1; i < stem_nodes.size(); ++i)
       replay_step(stem_nodes[i]);

@@ -52,45 +52,24 @@ namespace ccref::verify {
 
 namespace detail {
 
-/// rebuild_trace over the sharded set: parents are packed Refs recorded at
-/// insertion. Same concrete hash-first replay as the sequential
-/// reconstruction (replay_chain re-concretizes orbit representatives when
-/// symmetry reduction stored them).
+/// Sharded chain collector: the ancestry of `target` through the packed
+/// parent Refs recorded at insertion (or the per-shard order logs under
+/// the external tier), root first, fed to the same replay as the
+/// sequential engine.
 template <class Sys>
-std::vector<std::string> rebuild_trace_sharded(const Sys& sys,
-                                               const ShardedStateSet& seen,
-                                               ShardedStateSet::Ref target,
-                                               SymmetryMode symmetry) {
-  // Hash-compacted records keep no payload, but every record stores its
-  // full 64-bit fingerprint: walk the parent chain collecting fingerprints
-  // and re-concretize by fingerprint-matching real transitions from the
-  // initial state (see append_step_label_fp for the exactness argument).
-  // The external tier replays the same way, reading fingerprints and
-  // parents back from the per-shard order logs.
-  if (seen.hash_compact() || seen.external()) {
-    std::vector<std::uint64_t> fps;
-    for (std::uint64_t at = ShardedStateSet::pack(target);
-         at != ShardedStateSet::kNoParent;) {
-      auto r = ShardedStateSet::unpack(at);
-      fps.push_back(seen.hash_of(r));
-      at = seen.parent_of(r);
-    }
-    std::reverse(fps.begin(), fps.end());
-    return replay_fp_chain(sys, fps, seen.fingerprint_fn(), symmetry);
-  }
-  // Copy each state's bytes: under Collapse, seen.at() re-expands into a
-  // per-shard scratch buffer that the next at() on that shard overwrites.
-  std::vector<std::vector<std::byte>> owned;
+std::vector<std::string> rebuild_trace(const Sys& sys,
+                                       const ShardedStateSet& seen,
+                                       ShardedStateSet::Ref target,
+                                       const StoragePlan& plan,
+                                       SymmetryMode symmetry) {
+  std::vector<ShardedStateSet::Ref> chain;
   for (std::uint64_t at = ShardedStateSet::pack(target);
-       at != ShardedStateSet::kNoParent;) {
-    auto r = ShardedStateSet::unpack(at);
-    auto b = seen.at(r);
-    owned.emplace_back(b.begin(), b.end());
-    at = seen.parent_of(r);
-  }
-  std::reverse(owned.begin(), owned.end());
-  std::vector<std::span<const std::byte>> chain(owned.begin(), owned.end());
-  return replay_chain(sys, chain, symmetry);
+       at != ShardedStateSet::kNoParent; at = seen.parent_of(chain.back()))
+    chain.push_back(ShardedStateSet::unpack(at));
+  std::reverse(chain.begin(), chain.end());
+  return replay_chain(
+      sys, chain, plan, [&](ShardedStateSet::Ref r) { return seen.at(r); },
+      [&](ShardedStateSet::Ref r) { return seen.hash_of(r); }, symmetry);
 }
 
 }  // namespace detail
@@ -114,52 +93,12 @@ template <class Sys>
   const sem::LabelMode mode =
       opts.edge_check ? sem::LabelMode::Full : sem::LabelMode::Quiet;
 
+  const StoragePlan plan = resolve(opts);
   const bool external = opts.external.enabled();
-  auto add_note = [&](const char* text) {
-    if (!result.note.empty()) result.note += "; ";
-    result.note += text;
-  };
-  // Same downgrade rule as the sequential engine: invariants/edge checks
-  // must see every reachable state and edge, which a reduced search does not
-  // visit.
-  PorMode por = opts.por;
-  if (por == PorMode::Ample && (opts.invariant || opts.edge_check)) {
-    por = PorMode::Off;
-    add_note(
-        "por downgraded to off: invariants/edge checks must see every "
-        "reachable state and edge");
-  }
-  // Same external-tier composition rules as the sequential engine (see
-  // checker.hpp): Deferred cannot serve as the C3 revisit signal, and
-  // fingerprints-on-disk subsume hash compaction.
-  if (por == PorMode::Ample && external) {
-    por = PorMode::Off;
-    add_note(
-        "por downgraded to off: the external tier defers duplicate "
-        "detection, so the ample cycle proviso cannot observe revisits");
-  }
-  if (external && opts.hash_compact)
-    add_note(
-        "hash-compact is subsumed by the external tier: it stores the "
-        "same 64-bit fingerprints, on disk");
-  if ((opts.hash_compact || external) &&
-      opts.compress != CompressionMode::Off)
-    add_note(
-        "compress ignored under hash compaction: fingerprints leave no "
-        "stored bytes to compress");
-  // No fingerprint log here: every record stores its full 64-bit hash,
-  // which under compaction IS the fingerprint trace replay matches on.
-  // The external tier is the exception — its records live on disk, so
-  // trace replay needs the order log (keep_fingerprints routes there).
-  StorageOptions st{.compress = opts.compress,
-                    .hash_compact = opts.hash_compact && !external,
-                    .fingerprint = opts.fingerprint,
-                    .keep_fingerprints = external && opts.want_trace,
-                    .spill = opts.spill,
-                    .external = opts.external,
-                    .expected_states = opts.expected_states};
+  const PorMode por = plan.por;
+  result.note = plan.note;
   ShardedStateSet seen(opts.memory_limit, shards,
-                       /*track_parents=*/opts.want_trace, st);
+                       /*track_parents=*/opts.want_trace, plan.storage);
 
   // A frontier item carries its own copy of the encoded state: under
   // Collapse, reading a state back out of the set is not concurrent-safe
@@ -420,24 +359,13 @@ template <class Sys>
     while (Item* leftover = w->frontier.pop()) delete leftover;
 
   result.status = failed ? fail_status : Status::Ok;
-  result.states = seen.size();
-  result.memory_bytes = seen.memory_used();
-  result.pool_bytes = seen.stored_bytes();
-  result.raw_pool_bytes = seen.raw_bytes();
-  result.spill_bytes = seen.spill_bytes();
-  result.waste_bytes = seen.waste_bytes();
-  if (seen.external()) {
-    result.external_bytes = seen.external_bytes();
-    result.merge_passes = seen.merge_passes();
-  }
-  if (opts.hash_compact || seen.external())
-    result.omission_probability = omission_bound(seen.size());
+  detail::record_storage(result, seen, plan);
   for (const auto& w : workers) result.transitions += w->transitions;
   if (failed) {
     result.violation = std::move(fail_msg);
     if (opts.want_trace && fail_status != Status::Unfinished)
       result.trace =
-          detail::rebuild_trace_sharded(sys, seen, fail_ref, opts.symmetry);
+          detail::rebuild_trace(sys, seen, fail_ref, plan, opts.symmetry);
   }
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

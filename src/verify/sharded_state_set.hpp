@@ -85,21 +85,14 @@ class ShardedStateSet {
   /// (canonical) encoding, so equal states land in one shard and never
   /// need sibling dictionaries to agree on indices; the component
   /// STRUCTURE, however, is shared (one CollapseStructure) so every
-  /// shard slices identically. `expected_states` is split evenly across
-  /// shards to pre-size their tables; all construction floors shrink
-  /// until they fit a quarter of the budget, so even tiny limits leave
-  /// headroom for actual states.
+  /// shard slices identically. `st.expected_states` is split evenly
+  /// across shards to pre-size their tables; all construction floors
+  /// shrink until they fit a quarter of the budget, so even tiny limits
+  /// leave headroom for actual states. The storage routing (hash
+  /// compaction, spill policy, external tier) is threaded to every shard
+  /// and dictionary.
   ShardedStateSet(std::size_t memory_limit_bytes, unsigned shard_count,
-                  bool track_parents = false,
-                  CompressionMode mode = CompressionMode::Off,
-                  std::size_t expected_states = 0)
-      : ShardedStateSet(memory_limit_bytes, shard_count, track_parents,
-                        StorageOptions::legacy(mode, expected_states)) {}
-
-  /// Primary constructor with full storage-tier routing (hash compaction,
-  /// spill policy) threaded to every shard and dictionary.
-  ShardedStateSet(std::size_t memory_limit_bytes, unsigned shard_count,
-                  bool track_parents, const StorageOptions& st)
+                  bool track_parents = false, const StorageOptions& st = {})
       : budget_(memory_limit_bytes),
         st_(st),
         fp_(st.fingerprint != nullptr ? st.fingerprint : &default_fingerprint),
@@ -212,8 +205,6 @@ class ShardedStateSet {
     return ext_pending_.load(std::memory_order_acquire);
   }
 
-  [[nodiscard]] bool external() const { return !ext_shards_.empty(); }
-
   /// Quiescent-only: bytes held on disk by the external tier.
   [[nodiscard]] std::size_t external_bytes() const {
     std::size_t total = 0;
@@ -289,11 +280,6 @@ class ShardedStateSet {
     for (const auto& sh : shards_) total += sh->waste_bytes();
     return total;
   }
-
-  [[nodiscard]] bool hash_compact() const { return st_.hash_compact; }
-
-  /// The resolved fingerprint function this set hashes with.
-  [[nodiscard]] FingerprintFn fingerprint_fn() const { return fp_; }
 
   /// Stored hash of a record — the state's fingerprint under compaction
   /// and the external tier (read back from the shard's order log there).

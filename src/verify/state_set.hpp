@@ -157,11 +157,6 @@ class StateSet {
     return {pool_.data(e.offset), e.len};
   }
 
-  [[nodiscard]] std::uint64_t hash_at(std::uint32_t index) const {
-    CCREF_REQUIRE(index < entries_.size());
-    return entries_[index].hash;
-  }
-
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   /// Bytes of state payload actually stored (the raw-vs-collapsed

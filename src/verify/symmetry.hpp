@@ -14,8 +14,9 @@
 // searching each orbit for a matching concrete successor.
 //
 // Canonicalization happens *before* hashing, so the reduction composes
-// unchanged with StateSet, ShardedStateSet (the parallel engine), and
-// BitstateSet — each of them only ever sees canonical byte encodings.
+// unchanged with every storage tier — CollapsedStateSet, ShardedStateSet
+// (the parallel engine), fingerprints and the external tier each only ever
+// see canonical byte encodings.
 #pragma once
 
 #include <optional>

@@ -17,6 +17,7 @@
 #include "protocols/writeupdate.hpp"
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
+#include "sem/rendezvous.hpp"
 #include "verify/checker.hpp"
 #include "verify/collapse.hpp"
 #include "verify/fingerprint_set.hpp"
@@ -241,12 +242,12 @@ verify::CheckResult check(const Sys& sys, bool hc, CompressionMode compress,
                    : verify::par_explore(sys, opts, jobs);
 }
 
-void expect_hc_agreement(const ir::Protocol& p, int n, const char* what) {
+template <class Sys>
+void expect_hc_agreement(const Sys& sys, const char* what,
+                         bool compare_memory = true) {
   // At these sizes the birthday bound is ~1e-14, so a 64-bit fingerprint
   // collision in-test would be a hash bug, not bad luck: counts must match
   // full storage exactly, and the run must carry the omission caveat.
-  auto rp = refine::refine(p);
-  AsyncSystem sys(rp, n);
   for (unsigned jobs : {1u, 4u}) {
     for (auto sym : {SymmetryMode::Off, SymmetryMode::Canonical}) {
       for (auto por : {PorMode::Off, PorMode::Ample}) {
@@ -271,13 +272,18 @@ void expect_hc_agreement(const ir::Protocol& p, int n, const char* what) {
         EXPECT_EQ(hc.transitions, full.transitions)
             << what << " jobs=" << jobs;
         // The tier's point: fingerprints beat full vectors on memory.
-        if (jobs == 1) {
+        if (jobs == 1 && compare_memory) {
           EXPECT_LT(hc.memory_bytes, full.memory_bytes)
               << what << " jobs=" << jobs;
         }
       }
     }
   }
+}
+
+void expect_hc_agreement(const ir::Protocol& p, int n, const char* what) {
+  auto rp = refine::refine(p);
+  expect_hc_agreement(AsyncSystem(rp, n), what);
 }
 
 TEST(HashCompact, AgreesMigratory) {
@@ -294,6 +300,18 @@ TEST(HashCompact, AgreesWriteUpdate) {
 
 TEST(HashCompact, AgreesLockServer) {
   expect_hc_agreement(protocols::make_lock_server(), 3, "lockserver");
+}
+
+TEST(HashCompact, AgreesRendezvousMigratory) {
+  // The rendezvous level too, from one remote up (it has no POR hook, so
+  // its ample rows run unreduced). These spaces hold tens of states, below
+  // the fingerprint table's 1024-slot floor, so memory is not compared.
+  auto p = protocols::make_migratory();
+  for (int n : {1, 2, 3}) {
+    const std::string what = "rendezvous migratory n=" + std::to_string(n);
+    expect_hc_agreement(sem::RendezvousSystem(p, n), what.c_str(),
+                        /*compare_memory=*/false);
+  }
 }
 
 TEST(HashCompact, CompressRequestIsNotedAndIgnored) {
@@ -423,6 +441,28 @@ TEST(HashCompact, FinishesInsideBudgetThatWallsFullStorage) {
   auto par = verify::par_explore(sys, opts, 4);
   EXPECT_EQ(par.status, verify::Status::Ok);
   EXPECT_EQ(par.states, reference.states);
+}
+
+TEST(HashCompact, CoversAsyncMigratoryN5In16MB) {
+  // The Table-3 wall config that once needed a supertrace (sampling)
+  // search: full storage walls at 16 MB, fingerprints give the exact
+  // reachable count with a stated omission bound.
+  auto p = protocols::make_migratory();  // RefinedProtocol points into it
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 5);
+  verify::CheckOptions<AsyncSystem> opts;
+  opts.want_trace = false;
+  opts.memory_limit = 16u << 20;
+  auto walled = verify::explore(sys, opts);
+  ASSERT_EQ(walled.status, verify::Status::Unfinished);
+
+  opts.hash_compact = true;
+  auto hc = verify::explore(sys, opts);
+  EXPECT_EQ(hc.status, verify::Status::Ok);
+  EXPECT_EQ(hc.states, 436825u);
+  EXPECT_LE(hc.memory_bytes, opts.memory_limit);
+  EXPECT_GT(hc.omission_probability, 0.0);
+  EXPECT_LT(hc.omission_probability, 1e-8);
 }
 
 }  // namespace

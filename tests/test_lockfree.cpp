@@ -236,7 +236,7 @@ TEST(LockFreeShardedSet, CollapseConcurrentInsertsAgree) {
   // union afterwards.
   constexpr std::uint64_t kUniverse = 3000;
   ShardedStateSet set(8 << 20, 4, /*track_parents=*/false,
-                      verify::CompressionMode::Collapse);
+                      {.compress = verify::CompressionMode::Collapse});
   std::vector<ComponentMark> marks{{8, 0}, {16, 1}, {24, 2}};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t)

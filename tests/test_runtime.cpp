@@ -127,6 +127,10 @@ TEST(Async, UnfusedGrantTakesFourMessages) {
 struct AsyncCase {
   int n;
   bool fusion;
+  // gtest names each case with a byte dump of this struct. Spell the padding
+  // out as zeroed bytes so the dump, and so the test name, is the same on
+  // every build instead of echoing leftover stack contents.
+  char pad[3];
   const char* name;
 };
 
@@ -154,9 +158,9 @@ TEST_P(AsyncMigratory, SafeDeadlockFreeAndSound) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, AsyncMigratory,
-    testing::Values(AsyncCase{1, true, "n1"}, AsyncCase{2, true, "n2"},
-                    AsyncCase{1, false, "n1nofuse"},
-                    AsyncCase{2, false, "n2nofuse"}),
+    testing::Values(AsyncCase{1, true, {}, "n1"}, AsyncCase{2, true, {}, "n2"},
+                    AsyncCase{1, false, {}, "n1nofuse"},
+                    AsyncCase{2, false, {}, "n2nofuse"}),
     [](const auto& info) { return info.param.name; });
 
 TEST(AsyncExplore, InvalidateN2SoundAndSafe) {
