@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <vector>
 
 #include "protocols/invalidate.hpp"
@@ -402,6 +403,53 @@ TEST(Des, ParallelLanesDeterministicAndComplete) {
   EXPECT_EQ(s1.ops_total, s4.ops_total);
   // Same lane count => bit-identical run.
   expect_identical(s2, s2b);
+}
+
+std::string golden(const DesStats& s) {
+  std::ostringstream o;
+  o << "events=" << s.events << " req=" << s.req << " ack=" << s.ack
+    << " nack=" << s.nack << " repl=" << s.repl
+    << " completions=" << s.completions << " ops=" << s.ops_total
+    << " retries=" << s.retries << " mem=" << s.memory_accesses
+    << " c2c=" << s.c2c_transfers << " wb=" << s.write_backs
+    << " p50=" << s.latency.percentile(0.5)
+    << " p99=" << s.latency.percentile(0.99) << " cycles=" << s.cycles
+    << " finished=" << s.finished;
+  return o.str();
+}
+
+// Exact statistics recorded before the simulator's in-place steps were
+// moved onto the model checker's rule code: a fixed (seed, lanes, window)
+// must keep producing the same run, event for event.
+TEST(Des, GoldenStats) {
+  struct Case {
+    const char* kind;
+    std::uint32_t nodes;
+    std::uint64_t addresses;
+    int lanes;
+    const char* expected;
+  };
+  const Case cases[] = {
+      {"migratory", 16, 4, 1,
+       "events=6395 req=2064 ack=17 nack=1930 repl=111 completions=192 ops=128 retries=1930 mem=64 c2c=47 wb=17 p50=51 p99=1407 cycles=2913 finished=1"},
+      {"migratory", 16, 4, 4,
+       "events=3962 req=1252 ack=18 nack=1120 repl=110 completions=192 ops=128 retries=1120 mem=64 c2c=46 wb=18 p50=43 p99=959 cycles=3985 finished=1"},
+      {"invalidate", 16, 4, 1,
+       "events=2874 req=850 ack=75 nack=704 repl=64 completions=203 ops=128 retries=704 mem=64 c2c=0 wb=19 p50=47 p99=1023 cycles=2039 finished=1"},
+      {"invalidate", 16, 4, 4,
+       "events=1497 req=390 ack=76 nack=247 repl=64 completions=204 ops=128 retries=247 mem=64 c2c=0 wb=19 p50=43 p99=511 cycles=3476 finished=1"},
+      {"lock_server", 24, 2, 1,
+       "events=960 req=192 ack=96 nack=0 repl=96 completions=288 ops=192 retries=0 mem=0 c2c=0 wb=0 p50=8 p99=511 cycles=965 finished=1"},
+      {"lock_server", 24, 2, 4,
+       "events=960 req=192 ack=96 nack=0 repl=96 completions=288 ops=192 retries=0 mem=0 c2c=0 wb=0 p50=8 p99=319 cycles=3142 finished=1"},
+  };
+  for (const Case& c : cases) {
+    DesOptions d;
+    d.lanes = c.lanes;
+    EXPECT_EQ(golden(run_synthetic(c.kind, c.nodes, d, 5, c.addresses)),
+              c.expected)
+        << c.kind << " lanes=" << c.lanes;
+  }
 }
 
 // ---- slot revolving door ----------------------------------------------------

@@ -3,8 +3,11 @@
 // differences between refinement variants.
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "protocols/invalidate.hpp"
 #include "protocols/migratory.hpp"
+#include "protocols/snoop.hpp"
 #include "refine/abstraction.hpp"
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
@@ -120,6 +123,89 @@ TEST(Async, UnfusedGrantTakesFourMessages) {
   EXPECT_EQ(req, 2);
   EXPECT_EQ(ack, 2);
   EXPECT_EQ(repl, 0);
+}
+
+// ---- pinned enumeration -----------------------------------------------------
+
+std::string encoding(const AsyncSystem& sys, const AsyncState& s) {
+  ByteSink sink;
+  sys.encode(s, sink);
+  return {reinterpret_cast<const char*>(sink.bytes().data()),
+          sink.bytes().size()};
+}
+
+/// Every state reachable from the initial one, in BFS order.
+std::vector<AsyncState> reachable(const AsyncSystem& sys) {
+  std::unordered_set<std::string> seen;
+  std::vector<AsyncState> order;
+  auto visit = [&](const AsyncState& s) {
+    if (seen.insert(encoding(sys, s)).second) order.push_back(s);
+  };
+  visit(sys.initial());
+  for (std::size_t k = 0; k < order.size(); ++k)
+    for (auto& [next, label] : sys.successors(order[k], sem::LabelMode::Quiet))
+      visit(next);
+  return order;
+}
+
+/// FNV-1a over everything successors() and successors_por() expose on the
+/// reachable graph: edge order, successor encodings, label text and fields,
+/// and the POR candidate ranges.
+std::uint64_t enumeration_digest(const AsyncSystem& sys) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto bytes = [&](const void* p, std::size_t n) {
+    for (std::size_t k = 0; k < n; ++k) {
+      h ^= static_cast<const unsigned char*>(p)[k];
+      h *= 1099511628211ull;
+    }
+  };
+  auto num = [&](std::int64_t v) { bytes(&v, sizeof v); };
+  auto str = [&](const std::string& s) {
+    num(static_cast<std::int64_t>(s.size()));
+    bytes(s.data(), s.size());
+  };
+  auto edges = [&](const std::vector<std::pair<AsyncState, sem::Label>>& es) {
+    num(static_cast<std::int64_t>(es.size()));
+    for (const auto& [next, l] : es) {
+      str(encoding(sys, next));
+      str(l.text);
+      str(l.decision);
+      for (int v : {int{l.completes_rendezvous}, int{l.sent_req},
+                    int{l.sent_ack}, int{l.sent_nack}, int{l.sent_repl},
+                    l.actor, l.granted_to})
+        num(v);
+    }
+  };
+  for (const AsyncState& s : reachable(sys)) {
+    edges(sys.successors(s, sem::LabelMode::Full));
+    const auto por = sys.successors_por(s, sem::LabelMode::Full);
+    edges(por.all);
+    num(static_cast<std::int64_t>(por.candidates.size()));
+    for (const auto& c : por.candidates)
+      for (std::int64_t v : {std::int64_t{c.process}, std::int64_t{c.delivery},
+                             std::int64_t{c.local_begin},
+                             std::int64_t{c.local_end}})
+        num(v);
+  }
+  return h;
+}
+
+// Constants recorded before the rule code was shared with the in-place
+// simulator steps; any change to successor order, encodings, label text or
+// POR candidates shows up here.
+TEST(Async, EnumerationDigest) {
+  const auto mig = protocols::make_migratory();
+  const auto inv = protocols::make_invalidate();
+  const auto mesi = protocols::make_mesi();
+  const auto rmig = refine::refine(mig);
+  const auto rinv = refine::refine(inv);
+  const auto rmesi = refine::refine(mesi);
+  EXPECT_EQ(enumeration_digest(AsyncSystem(rmig, 3)), 0xdd5e44481f658cfeull)
+      << "migratory n=3";
+  EXPECT_EQ(enumeration_digest(AsyncSystem(rinv, 3)), 0x2c2ee5aae773572dull)
+      << "invalidate n=3";
+  EXPECT_EQ(enumeration_digest(AsyncSystem(rmesi, 2)), 0x5a44ba3aae9f9d90ull)
+      << "mesi n=2";
 }
 
 // ---- full exploration -------------------------------------------------------
