@@ -17,7 +17,73 @@ using sem::Label;
 using sem::LabelMode;
 
 namespace {
+
 constexpr int kHome = -1;
+
+using Edges = std::vector<std::pair<AsyncState, Label>>;
+
+/// successors(): every enabled edge patches its own copy of the source
+/// state, and the rules keep enumerating.
+struct Enumerate {
+  const AsyncState& from;
+  LabelMode mode;
+  Edges& out;
+
+  static bool allows(int, const std::string&) { return true; }
+  static void blocked() {}
+  AsyncState& target() {
+    out.emplace_back(from, Label{});
+    return out.back().first;
+  }
+  Label& label(int actor) {
+    Label& l = out.back().second;
+    l.actor = actor;
+    return l;
+  }
+  [[nodiscard]] bool text() const { return mode == LabelMode::Full; }
+  static void send(AsyncState& next, bool up, int node, Msg m) {
+    (up ? next.up : next.down)[node].push(std::move(m));
+  }
+  static bool close() { return false; }
+};
+
+/// The in-place steps: the first enabled, unblocked edge patches the
+/// caller's state and ends the rule.
+struct InPlace {
+  AsyncState& s;
+  Label& l;
+  SendLog* log;
+  const DecisionGate* gate = nullptr;  // null: every decision allowed
+  ExecResult result = ExecResult::None;
+
+  [[nodiscard]] bool allows(int actor, const std::string& decision) const {
+    return !gate || gate->allows(actor, decision);
+  }
+  void blocked() { result = ExecResult::Blocked; }
+  AsyncState& target() {
+    // Reset the label for reuse without giving up its strings' capacity.
+    l.text.clear();
+    l.completes_rendezvous = false;
+    l.sent_req = l.sent_ack = l.sent_nack = l.sent_repl = 0;
+    l.granted_to = -2;
+    l.decision.clear();
+    return s;
+  }
+  Label& label(int actor) {
+    l.actor = actor;
+    return l;
+  }
+  static bool text() { return false; }
+  void send(AsyncState& next, bool up, int node, Msg m) {
+    if (log) log->add(up, static_cast<std::uint8_t>(node), m.meta, m.msg);
+    (up ? next.up : next.down)[node].push(std::move(m));
+  }
+  bool close() {
+    result = ExecResult::Applied;
+    return true;
+  }
+};
+
 }  // namespace
 
 AsyncSystem::AsyncSystem(const refine::RefinedProtocol& refined,
@@ -46,64 +112,78 @@ AsyncState AsyncSystem::initial() const {
 
 std::vector<std::pair<AsyncState, Label>> AsyncSystem::successors(
     const AsyncState& s, LabelMode mode) const {
-  Out out;
-  // The LTL layer's weak-fairness constraints partition transitions by
-  // Label::actor, so deliveries need an owner. Both directions are charged
-  // to the *remote* of the channel: down-deliveries because the remote is
-  // the receiver, up-deliveries because weak fairness on them is how we
-  // encode reliable delivery of remote i's traffic — if they belonged to the
-  // home, a "fair" run could leave remote i's request in the channel forever
-  // and §6's per-node starvation would hold at every buffer size.
+  Edges out;
+  Enumerate sink{s, mode, out};
   for (int i = 0; i < n_; ++i)
-    if (!s.up[i].empty()) {
-      std::size_t first = out.size();
-      deliver_to_home(s, i, mode, out);
-      for (std::size_t e = first; e < out.size(); ++e)
-        out[e].second.actor = i;
-    }
+    if (!s.up[i].empty()) deliver_to_home(s, i, sink);
   for (int i = 0; i < n_; ++i)
-    if (!s.down[i].empty()) {
-      std::size_t first = out.size();
-      deliver_to_remote(s, i, mode, out);
-      for (std::size_t e = first; e < out.size(); ++e)
-        out[e].second.actor = i;
-    }
-  home_local(s, mode, out);
-  for (int i = 0; i < n_; ++i) remote_local(s, i, mode, out);
+    if (!s.down[i].empty()) deliver_to_remote(s, i, sink);
+  home_local(s, sink);
+  for (int i = 0; i < n_; ++i) remote_local(s, i, sink);
   return out;
 }
 
 AsyncSystem::PorSuccessors AsyncSystem::successors_por(const AsyncState& s,
                                                        LabelMode mode) const {
   PorSuccessors out;
+  Enumerate sink{s, mode, out.all};
   for (int i = 0; i < n_; ++i)
-    if (!s.up[i].empty()) {
-      std::size_t first = out.all.size();
-      deliver_to_home(s, i, mode, out.all);
-      for (std::size_t e = first; e < out.all.size(); ++e)
-        out.all[e].second.actor = i;
-    }
+    if (!s.up[i].empty()) deliver_to_home(s, i, sink);
   std::vector<std::uint32_t> delivery(n_, 0);
   for (int i = 0; i < n_; ++i)
     if (!s.down[i].empty()) {
-      std::size_t first = out.all.size();
-      deliver_to_remote(s, i, mode, out.all);
+      delivery[i] = static_cast<std::uint32_t>(out.all.size());
+      deliver_to_remote(s, i, sink);
       // Candidacy below relies on the down-head delivery being exactly one
       // edge: every deliver_to_remote case consumes the head one way.
-      CCREF_ASSERT(out.all.size() == first + 1);
-      out.all[first].second.actor = i;
-      delivery[i] = static_cast<std::uint32_t>(first);
+      CCREF_ASSERT(out.all.size() == delivery[i] + std::size_t{1});
     }
-  home_local(s, mode, out.all);
+  home_local(s, sink);
   for (int i = 0; i < n_; ++i) {
     auto first = static_cast<std::uint32_t>(out.all.size());
-    remote_local(s, i, mode, out.all);
-    if (!s.down[i].empty() &&
-        s.up[i].size() < static_cast<std::size_t>(cap_))
+    remote_local(s, i, sink);
+    if (!s.down[i].empty() && !full(s.up[i]))
       out.candidates.push_back(
           {i, delivery[i], first, static_cast<std::uint32_t>(out.all.size())});
   }
   return out;
+}
+
+// ---- in-place steps -----------------------------------------------------------
+
+ExecResult AsyncSystem::deliver_up(AsyncState& s, int i, Label& l,
+                                   SendLog* log) const {
+  InPlace sink{s, l, log};
+  if (!s.up[i].empty()) deliver_to_home(s, i, sink);
+  return sink.result;
+}
+
+ExecResult AsyncSystem::deliver_down(AsyncState& s, int i, Label& l,
+                                     SendLog* log) const {
+  InPlace sink{s, l, log};
+  if (!s.down[i].empty()) deliver_to_remote(s, i, sink);
+  return sink.result;
+}
+
+ExecResult AsyncSystem::home_step(AsyncState& s, Label& l,
+                                  SendLog* log) const {
+  InPlace sink{s, l, log};
+  home_local(s, sink);
+  return sink.result;
+}
+
+ExecResult AsyncSystem::remote_step(AsyncState& s, int i,
+                                    const DecisionGate& gate, Label& l,
+                                    SendLog* log) const {
+  InPlace sink{s, l, log, &gate};
+  // Answering the home is obligatory, so it outranks the controllable
+  // moves. (The enumeration exposes both orders; a simulator that always
+  // lets a gated τ preempt the answer can livelock — e.g. a migratory owner
+  // whose pending `evict` keeps crossing the home's revocation forever.) An
+  // applicable answer ends Applied or Blocked; None means there was none.
+  if (!remote_answer(s, i, sink) && sink.result == ExecResult::None)
+    remote_local(s, i, sink);
+  return sink.result;
 }
 
 // ---- helpers ----------------------------------------------------------------
@@ -198,12 +278,22 @@ void AsyncSystem::apply_input(const ir::Process& proc, ir::Store& store,
 }
 
 // ---- deliveries to the home --------------------------------------------------
+//
+// The LTL layer's weak-fairness constraints partition transitions by
+// Label::actor, so deliveries need an owner. Both directions are charged to
+// the *remote* of the channel: down-deliveries because the remote is the
+// receiver, up-deliveries because weak fairness on them is how we encode
+// reliable delivery of remote i's traffic — if they belonged to the home, a
+// "fair" run could leave remote i's request in the channel forever and §6's
+// per-node starvation would hold at every buffer size.
 
-void AsyncSystem::deliver_to_home(const AsyncState& s, int i, LabelMode mode,
-                                  Out& out) const {
-  const Msg& m = s.up[i].front();
+template <class Sink>
+bool AsyncSystem::deliver_to_home(const AsyncState& s, int i,
+                                  Sink& sink) const {
   const ir::Process& home = protocol().home;
   const HomeMachine& hm = s.home;
+  const Msg& m = s.up[i].front();
+  const ir::MsgId msg = m.msg;  // in place, `m` dies with the pop
 
   switch (m.meta) {
     case Meta::Ack: {
@@ -213,28 +303,25 @@ void AsyncSystem::deliver_to_home(const AsyncState& s, int i, LabelMode mode,
       const OutputGuard& og = home.state(hm.state).outputs[hm.t_guard];
       CCREF_ASSERT(refined_->cls(og.msg) != MsgClass::FusedRequest ||
                    !refined_->home_fusion_at(hm.state, hm.t_guard));
-      AsyncState next = s;
+      AsyncState& next = sink.target();
       next.up[i].pop();
       apply_home_output(next.home, og, i);
-      Label l;
-      if (mode == LabelMode::Full)
+      Label& l = sink.label(i);
+      if (sink.text())
         l.text = strf("h T1: ack from r%d completes %s", i,
-                    protocol().message(og.msg).name.c_str());
-      out.emplace_back(std::move(next), std::move(l));
-      return;
+                      protocol().message(og.msg).name.c_str());
+      return sink.close();
     }
     case Meta::Nack: {
       // Row T2: rendezvous failed; return to the communication state.
       CCREF_ASSERT_MSG(hm.transient && hm.t_target == i,
                        "stray NACK at the home");
-      AsyncState next = s;
+      AsyncState& next = sink.target();
       next.up[i].pop();
       next.home.transient = false;
-      Label l;
-      if (mode == LabelMode::Full)
-        l.text = strf("h T2: nack from r%d", i);
-      out.emplace_back(std::move(next), std::move(l));
-      return;
+      Label& l = sink.label(i);
+      if (sink.text()) l.text = strf("h T2: nack from r%d", i);
+      return sink.close();
     }
     case Meta::Repl: {
       // Fused pair completion (§3.3): the reply acks the pending request and
@@ -242,262 +329,232 @@ void AsyncSystem::deliver_to_home(const AsyncState& s, int i, LabelMode mode,
       CCREF_ASSERT_MSG(hm.transient && hm.t_target == i,
                        "stray REPL at the home");
       const auto* fusion = refined_->home_fusion_at(hm.state, hm.t_guard);
-      CCREF_ASSERT_MSG(fusion && fusion->reply == m.msg,
+      CCREF_ASSERT_MSG(fusion && fusion->reply == msg,
                        "REPL does not match the pending fusion");
       const OutputGuard& og = home.state(hm.state).outputs[hm.t_guard];
-      AsyncState next = s;
-      next.up[i].pop();
-      apply_home_output(next.home, og, i);
+      AsyncState& next = sink.target();
+      const Msg reply = next.up[i].take();
+      HomeMachine& nhm = next.home;
+      apply_home_output(nhm, og, i);
       // Consume the reply in the successor state.
       bool applied = false;
-      for (const auto& ig : home.state(next.home.state).inputs) {
-        if (ig.msg != m.msg) continue;
-        if (!input_source_matches(ig, next.home.store, m.src)) continue;
-        if (ig.cond &&
-            !ir::eval(*ig.cond, next.home.store, EvalCtx{kHome}))
+      for (const auto& ig : home.state(nhm.state).inputs) {
+        if (ig.msg != reply.msg) continue;
+        if (!input_source_matches(ig, nhm.store, reply.src)) continue;
+        if (ig.cond && !ir::eval(*ig.cond, nhm.store, EvalCtx{kHome}))
           continue;
-        apply_input(home, next.home.store, next.home.state, ig, m, kHome);
+        apply_input(home, nhm.store, nhm.state, ig, reply, kHome);
         applied = true;
         break;
       }
       CCREF_ASSERT_MSG(applied, "no guard consumed the fused reply");
-      Label l;
-      if (mode == LabelMode::Full)
+      Label& l = sink.label(i);
+      if (sink.text())
         l.text = strf("h T1: repl %s from r%d completes fused pair",
-                    protocol().message(m.msg).name.c_str(), i);
-      out.emplace_back(std::move(next), std::move(l));
-      return;
+                      protocol().message(msg).name.c_str(), i);
+      return sink.close();
     }
     case Meta::Snoop:
       CCREF_ASSERT_MSG(false, "SNOOP delivered to the home");
-      return;
+      return false;
     case Meta::SnoopAck: {
       CCREF_ASSERT_MSG(hm.txn && hm.txn->snooping == i,
                        "stray SNOOPACK at the home");
-      AsyncState next = s;
+      const bool cancelled = msg == 1;
+      AsyncState& next = sink.target();
       next.up[i].pop();
-      auto& txn = *next.home.txn;
+      BusTxn& txn = *next.home.txn;
       txn.snooping = BusTxn::kNoSnoop;
       txn.pending.remove(static_cast<NodeId>(i));
       bool purged = false;
-      if (m.msg == 1) {
+      if (cancelled) {
         // Answering the snoop cancelled r(i)'s own in-flight request. FIFO
         // order means that request reached the home before this SnoopAck:
         // purge it from the buffer if it was admitted (if it was nacked
         // instead, r(i) drops the stale nack on arrival).
-        for (std::size_t b = 0; b < next.home.buffer.size(); ++b) {
-          if (next.home.buffer[b].meta != Meta::Req ||
-              next.home.buffer[b].src != i)
-            continue;
-          next.home.buffer.erase(next.home.buffer.begin() + b);
+        auto& buffer = next.home.buffer;
+        for (std::size_t b = 0; b < buffer.size(); ++b) {
+          if (buffer[b].meta != Meta::Req || buffer[b].src != i) continue;
+          buffer.erase(buffer.begin() + b);
           purged = true;
           break;
         }
       }
-      Label l;
-      if (mode == LabelMode::Full)
+      Label& l = sink.label(i);
+      if (sink.text())
         l.text = strf("h bus: snoop-ack from r%d%s%s", i,
-                    m.msg == 1 ? " (cancelled own request)" : "",
-                    purged ? ", purged it" : "");
-      out.emplace_back(std::move(next), std::move(l));
-      return;
+                      cancelled ? " (cancelled own request)" : "",
+                      purged ? ", purged it" : "");
+      return sink.close();
     }
     case Meta::Req: {
-      if (hm.transient && hm.t_target == i) {
-        // Row T3 (rule R3): treat as an implicit nack plus a request. The
-        // ack-buffer reservation guarantees space for this request.
-        AsyncState next = s;
-        next.up[i].pop();
-        next.home.transient = false;
-        Msg req = m;
-        if (admit(next.home, next, req, /*in_transient=*/false)) {
-          next.home.buffer.push_back(std::move(req));
-          Label l;
-          if (mode == LabelMode::Full)
-            l.text = strf("h T3: implicit nack; buffered %s from r%d",
-                        protocol().message(m.msg).name.c_str(), i);
-          out.emplace_back(std::move(next), std::move(l));
-        } else {
-          // Only reachable with the ack buffer disabled (ablation).
-          if (s.down[i].size() >= static_cast<std::size_t>(cap_)) return;
-          Msg nack;
-          nack.meta = Meta::Nack;
-          nack.src = Msg::kHomeSrc;
-          next.down[i].push(std::move(nack));
-          Label l;
-          if (mode == LabelMode::Full)
-            l.text = strf("h T3: implicit nack; nacked %s from r%d (no space)",
-                        protocol().message(m.msg).name.c_str(), i);
-          l.sent_nack = 1;
-          out.emplace_back(std::move(next), std::move(l));
-        }
-        return;
+      // Row T3 (rule R3): a request from the remote the home is waiting on
+      // is an implicit nack plus a request; the ack-buffer reservation
+      // guarantees space for it. Otherwise rows T4/T5/T6 (and the analogous
+      // communication-state admission).
+      const bool r3 = hm.transient && hm.t_target == i;
+      const bool buffered = admit(hm, s, m, hm.transient && !r3);
+      // An R3 nack is only reachable with the ack buffer disabled (ablation).
+      if (!buffered && full(s.down[i])) {
+        sink.blocked();
+        return false;
       }
-      // Rows T4/T5/T6 (and the analogous communication-state admission).
-      if (admit(hm, s, m, hm.transient)) {
-        AsyncState next = s;
-        next.up[i].pop();
-        next.home.buffer.push_back(m);
-        Label l;
-        if (mode == LabelMode::Full)
-          l.text = strf("h buffer: %s from r%d",
-                      protocol().message(m.msg).name.c_str(), i);
-        out.emplace_back(std::move(next), std::move(l));
+      AsyncState& next = sink.target();
+      Msg req = next.up[i].take();
+      if (r3) next.home.transient = false;
+      Label& l = sink.label(i);
+      if (buffered) {
+        next.home.buffer.push_back(std::move(req));
       } else {
-        if (s.down[i].size() >= static_cast<std::size_t>(cap_)) return;
-        AsyncState next = s;
-        next.up[i].pop();
-        Msg nack;
-        nack.meta = Meta::Nack;
-        nack.src = Msg::kHomeSrc;
-        next.down[i].push(std::move(nack));
-        Label l;
-        if (mode == LabelMode::Full)
-          l.text = strf("h T6: nack %s from r%d",
-                      protocol().message(m.msg).name.c_str(), i);
+        sink.send(next, false, i,
+                  Msg{.meta = Meta::Nack, .src = Msg::kHomeSrc});
         l.sent_nack = 1;
-        out.emplace_back(std::move(next), std::move(l));
       }
-      return;
+      if (sink.text()) {
+        const char* name = protocol().message(msg).name.c_str();
+        if (r3)
+          l.text = strf(buffered ? "h T3: implicit nack; buffered %s from r%d"
+                                 : "h T3: implicit nack; nacked %s from r%d "
+                                   "(no space)",
+                        name, i);
+        else
+          l.text = strf(buffered ? "h buffer: %s from r%d"
+                                 : "h T6: nack %s from r%d",
+                        name, i);
+      }
+      return sink.close();
     }
   }
+  return false;
 }
 
 // ---- deliveries to a remote ---------------------------------------------------
 
-void AsyncSystem::deliver_to_remote(const AsyncState& s, int i, LabelMode mode,
-                                    Out& out) const {
-  const Msg& m = s.down[i].front();
+template <class Sink>
+bool AsyncSystem::deliver_to_remote(const AsyncState& s, int i,
+                                    Sink& sink) const {
   const ir::Process& remote = protocol().remote;
   const RemoteMachine& rm = s.remotes[i];
+  const Msg& m = s.down[i].front();
+  // In place, `m` dies with the pop.
+  const Meta meta = m.meta;
+  const ir::MsgId msg = m.msg;
+  const int src = m.src;
 
-  if (m.meta == Meta::Snoop) {
+  if (meta == Meta::Snoop) {
     // A snoop parks in the one-slot buffer (kept one edge for the POR
-    // footprint) and is answered with priority in remote_local — even by a
+    // footprint) and is answered with priority by remote_answer — even by a
     // transient remote, which is what lets a cache waiting to win the bus
     // observe the transaction that just beat it. The home never snoops a
     // remote with an unresolved point-to-point request, so the slot is free.
     CCREF_ASSERT_MSG(!rm.buffer.has_value(),
                      "snoop arrived while a request was buffered");
-    AsyncState next = s;
-    next.down[i].pop();
-    next.remotes[i].buffer = m;
-    Label l;
-    if (mode == LabelMode::Full)
+    AsyncState& next = sink.target();
+    next.remotes[i].buffer = next.down[i].take();
+    Label& l = sink.label(i);
+    if (sink.text())
       l.text = strf("r%d buffer: snoop %s(r%d)", i,
-                  protocol().message(m.msg).name.c_str(), m.src);
-    out.emplace_back(std::move(next), std::move(l));
-    return;
+                    protocol().message(msg).name.c_str(), src);
+    return sink.close();
   }
 
   if (rm.transient) {
-    const ir::State& a = remote.state(rm.state);
-    const OutputGuard& og = a.outputs[0];
-    switch (m.meta) {
+    const OutputGuard& og = remote.state(rm.state).outputs[0];
+    switch (meta) {
       case Meta::Ack: {
         // Row T1.
         CCREF_ASSERT_MSG(!refined_->remote_fusion_at(rm.state),
                          "ACK for a fused request");
-        AsyncState next = s;
+        AsyncState& next = sink.target();
         next.down[i].pop();
-        auto& nrm = next.remotes[i];
+        RemoteMachine& nrm = next.remotes[i];
         if (og.action)
           ir::exec(*og.action, nrm.store, remote.vars, EvalCtx{i});
         nrm.state = og.next;
         nrm.transient = false;
-        Label l;
-        if (mode == LabelMode::Full)
+        Label& l = sink.label(i);
+        if (sink.text())
           l.text = strf("r%d T1: ack completes %s", i,
-                      protocol().message(og.msg).name.c_str());
-        out.emplace_back(std::move(next), std::move(l));
-        return;
+                        protocol().message(og.msg).name.c_str());
+        return sink.close();
       }
       case Meta::Nack: {
         // Row T2: go back and retransmit (the active send re-enables).
-        AsyncState next = s;
+        AsyncState& next = sink.target();
         next.down[i].pop();
         next.remotes[i].transient = false;
-        Label l;
-        if (mode == LabelMode::Full)
-          l.text = strf("r%d T2: nack; will retry", i);
-        out.emplace_back(std::move(next), std::move(l));
-        return;
+        Label& l = sink.label(i);
+        if (sink.text()) l.text = strf("r%d T2: nack; will retry", i);
+        return sink.close();
       }
       case Meta::Repl: {
         const auto* fusion = refined_->remote_fusion_at(rm.state);
-        CCREF_ASSERT_MSG(fusion && fusion->reply == m.msg,
+        CCREF_ASSERT_MSG(fusion && fusion->reply == msg,
                          "REPL does not match the remote fusion");
-        AsyncState next = s;
-        next.down[i].pop();
-        auto& nrm = next.remotes[i];
+        const InputGuard& ig = remote.state(fusion->wait_state).inputs[0];
+        AsyncState& next = sink.target();
+        const Msg reply = next.down[i].take();
+        RemoteMachine& nrm = next.remotes[i];
         if (og.action)
           ir::exec(*og.action, nrm.store, remote.vars, EvalCtx{i});
         nrm.state = og.next;  // W
-        const InputGuard& ig =
-            remote.state(fusion->wait_state).inputs[0];
-        apply_input(remote, nrm.store, nrm.state, ig, m, i);
+        apply_input(remote, nrm.store, nrm.state, ig, reply, i);
         nrm.transient = false;
-        Label l;
-        if (mode == LabelMode::Full)
+        Label& l = sink.label(i);
+        if (sink.text())
           l.text = strf("r%d T1: repl %s completes fused pair", i,
-                      protocol().message(m.msg).name.c_str());
-        out.emplace_back(std::move(next), std::move(l));
-        return;
+                        protocol().message(msg).name.c_str());
+        return sink.close();
       }
       case Meta::Req: {
         // Row T3: the remote knows the home will treat its own pending
         // request as an implicit nack, so this request is simply dropped.
-        AsyncState next = s;
+        AsyncState& next = sink.target();
         next.down[i].pop();
-        Label l;
-        if (mode == LabelMode::Full)
+        Label& l = sink.label(i);
+        if (sink.text())
           l.text = strf("r%d T3: ignore %s from home", i,
-                      protocol().message(m.msg).name.c_str());
-        out.emplace_back(std::move(next), std::move(l));
-        return;
+                        protocol().message(msg).name.c_str());
+        return sink.close();
       }
       case Meta::Snoop:
       case Meta::SnoopAck:
         CCREF_ASSERT_MSG(false, "unreachable meta at a transient remote");
-        return;
+        return false;
     }
-    return;
+    return false;
   }
 
-  if (m.meta == Meta::Nack &&
-      protocol().topology == ir::Topology::Bus) {
+  if (meta == Meta::Nack && protocol().topology == ir::Topology::Bus) {
     // Stale nack: the remote's request was rejected after the remote had
     // already cancelled it by answering a snoop. Drop it.
-    AsyncState next = s;
+    AsyncState& next = sink.target();
     next.down[i].pop();
-    Label l;
-    if (mode == LabelMode::Full)
-      l.text = strf("r%d: drop stale nack", i);
-    out.emplace_back(std::move(next), std::move(l));
-    return;
+    Label& l = sink.label(i);
+    if (sink.text()) l.text = strf("r%d: drop stale nack", i);
+    return sink.close();
   }
 
   // Not transient: only requests can arrive; hold in the one-slot buffer.
-  CCREF_ASSERT_MSG(m.meta == Meta::Req, "non-request at an idle remote");
+  CCREF_ASSERT_MSG(meta == Meta::Req, "non-request at an idle remote");
   CCREF_ASSERT_MSG(!rm.buffer.has_value(),
                    "home sent two outstanding requests to one remote");
-  AsyncState next = s;
-  next.down[i].pop();
-  next.remotes[i].buffer = m;
-  Label l;
-  if (mode == LabelMode::Full)
+  AsyncState& next = sink.target();
+  next.remotes[i].buffer = next.down[i].take();
+  Label& l = sink.label(i);
+  if (sink.text())
     l.text = strf("r%d buffer: %s from home", i,
-                protocol().message(m.msg).name.c_str());
-  out.emplace_back(std::move(next), std::move(l));
+                  protocol().message(msg).name.c_str());
+  return sink.close();
 }
 
 // ---- home local steps ----------------------------------------------------------
 
-void AsyncSystem::home_local(const AsyncState& s, LabelMode mode,
-                             Out& out) const {
+template <class Sink>
+bool AsyncSystem::home_local(const AsyncState& s, Sink& sink) const {
   const ir::Process& home = protocol().home;
   const HomeMachine& hm = s.home;
-  if (hm.transient) return;  // waiting for an ack/nack/reply
+  if (hm.transient) return false;  // waiting for an ack/nack/reply
   const ir::State& st = home.state(hm.state);
   const EvalCtx hctx{kHome};
 
@@ -506,72 +563,67 @@ void AsyncSystem::home_local(const AsyncState& s, LabelMode mode,
     // until it commits. Snoop the pending remotes one at a time, then apply
     // the recorded guard and ack the requester.
     const BusTxn& txn = *hm.txn;
-    if (txn.snooping != BusTxn::kNoSnoop) return;  // awaiting a SnoopAck
+    if (txn.snooping != BusTxn::kNoSnoop) return false;  // awaiting SnoopAck
     if (!txn.pending.empty()) {
       const NodeId j = txn.pending.first();
-      if (s.down[j].size() >= static_cast<std::size_t>(cap_)) return;
-      AsyncState next = s;
-      Msg sn;
-      sn.meta = Meta::Snoop;
-      sn.msg = txn.msg;
-      sn.src = txn.src;  // snoop guards bind the original requester
-      sn.payload = txn.payload;
-      next.down[j].push(std::move(sn));
-      next.home.txn->snooping = j;
-      Label l;
-      if (mode == LabelMode::Full)
+      if (full(s.down[j])) {
+        sink.blocked();
+        return false;
+      }
+      AsyncState& next = sink.target();
+      BusTxn& ntxn = *next.home.txn;
+      ntxn.snooping = j;
+      // Snoop guards bind the original requester.
+      sink.send(next, false, j,
+                Msg{.meta = Meta::Snoop, .msg = ntxn.msg, .src = ntxn.src,
+                    .payload = ntxn.payload});
+      Label& l = sink.label(kHome);
+      if (sink.text())
         l.text = strf("h bus: snoop %s(r%d) -> r%d",
-                    protocol().message(txn.msg).name.c_str(), txn.src, j);
-      l.actor = kHome;
-      out.emplace_back(std::move(next), std::move(l));
-      return;
+                      protocol().message(ntxn.msg).name.c_str(), ntxn.src, j);
+      return sink.close();
     }
     // Every other remote has answered: commit. The home store is untouched
     // since the open (the transaction blocks every store-writing home step),
     // so the guard condition checked at open still holds.
-    if (s.down[txn.src].size() >= static_cast<std::size_t>(cap_)) return;
-    const ir::InputGuard& ig = st.inputs[txn.guard];
-    AsyncState next = s;
-    Msg taken;
-    taken.meta = Meta::Req;
-    taken.msg = txn.msg;
-    taken.src = txn.src;
-    taken.payload = txn.payload;
-    Msg ack;
-    ack.meta = Meta::Ack;
-    ack.src = Msg::kHomeSrc;
-    next.down[txn.src].push(std::move(ack));
+    if (full(s.down[txn.src])) {
+      sink.blocked();
+      return false;
+    }
+    const InputGuard& ig = st.inputs[txn.guard];
+    AsyncState& next = sink.target();
+    BusTxn done = std::move(*next.home.txn);
     next.home.txn.reset();
+    const Msg taken{.meta = Meta::Req, .msg = done.msg, .src = done.src,
+                    .payload = std::move(done.payload)};
+    sink.send(next, false, taken.src,
+              Msg{.meta = Meta::Ack, .src = Msg::kHomeSrc});
     apply_input(home, next.home.store, next.home.state, ig, taken, kHome);
-    Label l;
-    if (mode == LabelMode::Full)
+    Label& l = sink.label(kHome);
+    if (sink.text())
       l.text = strf("h bus: commit %s from r%d",
-                  protocol().message(taken.msg).name.c_str(), taken.src);
+                    protocol().message(taken.msg).name.c_str(), taken.src);
     l.sent_ack = 1;
     l.completes_rendezvous = true;
     l.granted_to = taken.src;
-    l.actor = kHome;
     l.decision = protocol().message(taken.msg).name;
-    out.emplace_back(std::move(next), std::move(l));
-    return;
+    return sink.close();
   }
 
   // τ moves (internal states, and autonomous decisions in comm states such
   // as the invalidate protocol's "copyset swept").
   for (const auto& g : st.taus) {
     if (g.cond && !ir::eval(*g.cond, hm.store, hctx)) continue;
-    AsyncState next = s;
-    if (g.action)
-      ir::exec(*g.action, next.home.store, home.vars, hctx);
+    AsyncState& next = sink.target();
+    if (g.action) ir::exec(*g.action, next.home.store, home.vars, hctx);
     next.home.state = g.next;
-    Label l;
-    if (mode == LabelMode::Full)
+    Label& l = sink.label(kHome);
+    if (sink.text())
       l.text = strf("h: tau %s", g.label.empty() ? "-" : g.label.c_str());
-    l.actor = kHome;
     l.decision = g.label;
-    out.emplace_back(std::move(next), std::move(l));
+    if (sink.close()) return true;
   }
-  if (st.kind != StateKind::Comm) return;
+  if (st.kind != StateKind::Comm) return false;
 
   // ---- row C1: complete a rendezvous from the buffer ----
   bool any_c1 = false;
@@ -583,42 +635,36 @@ void AsyncSystem::home_local(const AsyncState& s, LabelMode mode,
       if (!input_source_matches(ig, hm.store, m.src)) continue;
       if (ig.cond && !ir::eval(*ig.cond, hm.store, hctx)) continue;
       any_c1 = true;
-      MsgClass cls = refined_->cls(m.msg);
+      const MsgClass cls = refined_->cls(m.msg);
+      if (cls == MsgClass::Normal && full(s.down[m.src])) {
+        sink.blocked();  // no room for the ack right now
+        continue;
+      }
+      AsyncState& next = sink.target();
+      Msg taken = std::move(next.home.buffer[b]);
+      next.home.buffer.erase(next.home.buffer.begin() + b);
+      Label& l = sink.label(kHome);
       if (cls == MsgClass::Broadcast) {
         // Open a split bus transaction instead of completing on the spot:
         // the guard is recorded and applied only after every other remote
         // has been snooped.
-        AsyncState next = s;
         BusTxn txn;
-        txn.src = m.src;
+        txn.src = taken.src;
         txn.guard = static_cast<std::uint8_t>(gi);
-        txn.msg = m.msg;
+        txn.msg = taken.msg;
         txn.pending = NodeSet::all(n_);
-        txn.pending.remove(m.src);
-        txn.payload = m.payload;
-        next.home.buffer.erase(next.home.buffer.begin() + b);
+        txn.pending.remove(taken.src);
+        txn.payload = std::move(taken.payload);
         next.home.txn = std::move(txn);
-        Label l;
-        l.actor = kHome;
-        if (mode == LabelMode::Full)
+        if (sink.text())
           l.text = strf("h bus: open %s from r%d",
-                      protocol().message(m.msg).name.c_str(), m.src);
-        out.emplace_back(std::move(next), std::move(l));
+                        protocol().message(taken.msg).name.c_str(), taken.src);
+        if (sink.close()) return true;
         continue;
       }
-      if (cls == MsgClass::Normal &&
-          s.down[m.src].size() >= static_cast<std::size_t>(cap_))
-        continue;  // no room for the ack right now
-      AsyncState next = s;
-      Msg taken = m;
-      next.home.buffer.erase(next.home.buffer.begin() + b);
-      Label l;
-      l.actor = kHome;
       if (cls == MsgClass::Normal) {
-        Msg ack;
-        ack.meta = Meta::Ack;
-        ack.src = Msg::kHomeSrc;
-        next.down[taken.src].push(std::move(ack));
+        sink.send(next, false, taken.src,
+                  Msg{.meta = Meta::Ack, .src = Msg::kHomeSrc});
         l.sent_ack = 1;
         l.completes_rendezvous = true;
         l.granted_to = taken.src;
@@ -631,17 +677,17 @@ void AsyncSystem::home_local(const AsyncState& s, LabelMode mode,
         CCREF_ASSERT(cls == MsgClass::ElideAck);
       }
       apply_input(home, next.home.store, next.home.state, ig, taken, kHome);
-      if (mode == LabelMode::Full)
+      if (sink.text())
         l.text = strf("h C1: %s %s from r%d",
-                    cls == MsgClass::Normal ? "ack" : "consume",
-                    protocol().message(taken.msg).name.c_str(), taken.src);
-      out.emplace_back(std::move(next), std::move(l));
+                      cls == MsgClass::Normal ? "ack" : "consume",
+                      protocol().message(taken.msg).name.c_str(), taken.src);
+      if (sink.close()) return true;
     }
   }
 
   // ---- row C2: initiate a rendezvous (only when no buffered request can
   // complete one — condition (a)) ----
-  if (any_c1) return;
+  if (any_c1) return false;
   for (std::size_t gi = 0; gi < st.outputs.size(); ++gi) {
     const OutputGuard& og = st.outputs[gi];
     if (og.cond && !ir::eval(*og.cond, hm.store, hctx)) continue;
@@ -654,7 +700,7 @@ void AsyncSystem::home_local(const AsyncState& s, LabelMode mode,
       targets = NodeSet(
           static_cast<std::uint64_t>(ir::eval(*og.to.expr, hm.store, hctx)));
     }
-    MsgClass cls = refined_->cls(og.msg);
+    const MsgClass cls = refined_->cls(og.msg);
     for (NodeId ri : targets) {
       if (ri >= n_) continue;
       // Condition (c): a pending request from ri means ri is active and
@@ -663,92 +709,102 @@ void AsyncSystem::home_local(const AsyncState& s, LabelMode mode,
       for (const auto& bm : hm.buffer)
         if (bm.src == ri) pending = true;
       if (pending) continue;
-      if (cls == MsgClass::Reply) {
-        // Fire-and-forget reply of a fused pair: the §3.3 conditions
-        // guarantee the remote is waiting, so no ack and no transient.
-        if (s.down[ri].size() >= static_cast<std::size_t>(cap_)) continue;
-        AsyncState next = s;
-        Msg repl;
-        repl.meta = Meta::Repl;
-        repl.msg = og.msg;
-        repl.src = Msg::kHomeSrc;
-        repl.payload = eval_payload(og, hm.store, kHome, ri);
-        next.down[ri].push(std::move(repl));
-        apply_home_output(next.home, og, ri);
-        Label l;
-        if (mode == LabelMode::Full)
-          l.text = strf("h C2: repl %s -> r%d",
-                      protocol().message(og.msg).name.c_str(), ri);
-        l.sent_repl = 1;
-        l.completes_rendezvous = true;
-        l.granted_to = kHome;
-        l.actor = kHome;
-        l.decision = protocol().message(og.msg).name;
-        out.emplace_back(std::move(next), std::move(l));
-        continue;
-      }
-      // Generic request: allocate the ack buffer first (§3.2), nacking one
+      // Generic requests allocate the ack buffer first (§3.2), nacking one
       // buffered request if the buffer is full (condition (a) already told
-      // us none of them satisfies a rendezvous here).
-      AsyncState next = s;
-      Label l;
-      if (refined_->options.ack_buffer &&
-          next.home.buffer.size() >= static_cast<std::size_t>(k_)) {
-        int victim = -1;
-        for (int v = static_cast<int>(next.home.buffer.size()) - 1; v >= 0;
-             --v)
-          if (refined_->cls(next.home.buffer[v].msg) != MsgClass::ElideAck) {
+      // us none of them satisfies a rendezvous here). The victim's channel
+      // is never down[ri]: condition (c) skipped ri's buffered requests.
+      const bool evict = cls != MsgClass::Reply &&
+                         refined_->options.ack_buffer &&
+                         hm.buffer.size() >= static_cast<std::size_t>(k_);
+      int victim = -1;
+      if (evict) {
+        for (int v = static_cast<int>(hm.buffer.size()) - 1; v >= 0; --v)
+          if (refined_->cls(hm.buffer[v].msg) != MsgClass::ElideAck) {
             victim = v;
             break;
           }
         if (victim < 0) continue;  // nothing nackable
-        std::uint8_t vsrc = next.home.buffer[victim].src;
-        if (next.down[vsrc].size() >= static_cast<std::size_t>(cap_))
-          continue;
+      }
+      if ((evict && full(s.down[hm.buffer[victim].src])) ||
+          full(s.down[ri])) {
+        sink.blocked();
+        continue;
+      }
+      std::vector<ir::Value> payload = eval_payload(og, hm.store, kHome, ri);
+      AsyncState& next = sink.target();
+      Label& l = sink.label(kHome);
+      l.decision = protocol().message(og.msg).name;
+      if (cls == MsgClass::Reply) {
+        // Fire-and-forget reply of a fused pair: the §3.3 conditions
+        // guarantee the remote is waiting, so no ack and no transient.
+        sink.send(next, false, ri,
+                  Msg{.meta = Meta::Repl, .msg = og.msg,
+                      .src = Msg::kHomeSrc, .payload = std::move(payload)});
+        apply_home_output(next.home, og, ri);
+        if (sink.text())
+          l.text = strf("h C2: repl %s -> r%d",
+                        protocol().message(og.msg).name.c_str(), ri);
+        l.sent_repl = 1;
+        l.completes_rendezvous = true;
+        l.granted_to = kHome;
+        if (sink.close()) return true;
+        continue;
+      }
+      if (evict) {
+        const std::uint8_t vsrc = next.home.buffer[victim].src;
         next.home.buffer.erase(next.home.buffer.begin() + victim);
-        Msg nack;
-        nack.meta = Meta::Nack;
-        nack.src = Msg::kHomeSrc;
-        next.down[vsrc].push(std::move(nack));
+        sink.send(next, false, vsrc,
+                  Msg{.meta = Meta::Nack, .src = Msg::kHomeSrc});
         l.sent_nack = 1;
       }
-      if (next.down[ri].size() >= static_cast<std::size_t>(cap_)) continue;
-      Msg req;
-      req.meta = Meta::Req;
-      req.msg = og.msg;
-      req.src = Msg::kHomeSrc;
-      req.payload = eval_payload(og, hm.store, kHome, ri);
-      next.down[ri].push(std::move(req));
+      sink.send(next, false, ri,
+                Msg{.meta = Meta::Req, .msg = og.msg, .src = Msg::kHomeSrc,
+                    .payload = std::move(payload)});
       next.home.transient = true;
       next.home.t_guard = static_cast<std::uint8_t>(gi);
       next.home.t_target = ri;
-      if (mode == LabelMode::Full)
+      if (sink.text())
         l.text = strf("h C2: request %s -> r%d",
-                    protocol().message(og.msg).name.c_str(), ri);
+                      protocol().message(og.msg).name.c_str(), ri);
       l.sent_req = 1;
-      l.actor = kHome;
-      l.decision = protocol().message(og.msg).name;
-      out.emplace_back(std::move(next), std::move(l));
+      if (sink.close()) return true;
     }
   }
+  return false;
 }
 
 // ---- remote local steps ---------------------------------------------------------
 
-void AsyncSystem::remote_local(const AsyncState& s, int i, LabelMode mode,
-                               Out& out) const {
+template <class Sink>
+bool AsyncSystem::remote_local(const AsyncState& s, int i, Sink& sink) const {
+  const RemoteMachine& rm = s.remotes[i];
+  // A parked snoop is answered before anything else, even by a transient
+  // remote.
+  if (rm.buffer && rm.buffer->meta == Meta::Snoop)
+    return remote_answer(s, i, sink);
+  if (rm.transient) return false;
+  return remote_tau(s, i, sink) || remote_send(s, i, sink) ||
+         remote_answer(s, i, sink);
+}
+
+template <class Sink>
+bool AsyncSystem::remote_answer(const AsyncState& s, int i, Sink& sink) const {
   const ir::Process& remote = protocol().remote;
   const RemoteMachine& rm = s.remotes[i];
+  if (!rm.buffer) return false;
+  const Msg& m = *rm.buffer;
+  const ir::State& cur = remote.state(rm.state);
   const EvalCtx rctx{i};
 
-  if (rm.buffer && rm.buffer->meta == Meta::Snoop) {
-    // A parked snoop is answered before anything else — even by a transient
-    // remote (its active state's `bcast?` guards are exactly the snoops it
-    // may consume while waiting for the bus). First enabled guard wins,
-    // mirroring sem::fire_bcast; no guard means the snoop is ignored.
-    if (s.up[i].size() >= static_cast<std::size_t>(cap_)) return;
-    const Msg m = *rm.buffer;
-    const ir::State& cur = remote.state(rm.state);
+  if (m.meta == Meta::Snoop) {
+    // A transient remote answers too: its active state's `bcast?` guards
+    // are exactly the snoops it may consume while waiting for the bus.
+    // First enabled guard wins, mirroring sem::fire_bcast; no guard means
+    // the snoop is ignored.
+    if (full(s.up[i])) {
+      sink.blocked();
+      return false;
+    }
     const InputGuard* hit = nullptr;
     if (cur.kind == StateKind::Comm) {
       for (const auto& ig : cur.inputs) {
@@ -758,170 +814,165 @@ void AsyncSystem::remote_local(const AsyncState& s, int i, LabelMode mode,
         break;
       }
     }
-    AsyncState next = s;
-    auto& nrm = next.remotes[i];
-    nrm.buffer.reset();
     const bool cancelled = hit && rm.transient;
+    AsyncState& next = sink.target();
+    RemoteMachine& nrm = next.remotes[i];
+    const Msg snoop = std::move(*nrm.buffer);
+    nrm.buffer.reset();
     if (hit) {
-      apply_input(remote, nrm.store, nrm.state, *hit, m, i);
+      apply_input(remote, nrm.store, nrm.state, *hit, snoop, i);
       nrm.transient = false;
     }
-    Msg ack;
-    ack.meta = Meta::SnoopAck;
-    ack.msg = cancelled ? 1 : 0;  // flag: own in-flight request cancelled
-    ack.src = static_cast<std::uint8_t>(i);
-    next.up[i].push(std::move(ack));
-    Label l;
-    l.actor = i;
-    if (mode == LabelMode::Full)
+    // The flag: own in-flight request cancelled.
+    sink.send(next, true, i,
+              Msg{.meta = Meta::SnoopAck,
+                  .msg = static_cast<ir::MsgId>(cancelled ? 1 : 0),
+                  .src = static_cast<std::uint8_t>(i)});
+    Label& l = sink.label(i);
+    if (sink.text())
       l.text = strf("r%d: snoop %s(r%d) %s", i,
-                  protocol().message(m.msg).name.c_str(), m.src,
-                  cancelled  ? "applied, cancelling own request"
-                  : hit      ? "applied"
-                             : "ignored");
-    out.emplace_back(std::move(next), std::move(l));
-    return;
-  }
-
-  if (rm.transient) return;
-  const ir::State& st = remote.state(rm.state);
-
-  // τ moves; the one-slot buffer rides along.
-  for (const auto& g : st.taus) {
-    if (g.cond && !ir::eval(*g.cond, rm.store, rctx)) continue;
-    AsyncState next = s;
-    auto& nrm = next.remotes[i];
-    if (g.action) ir::exec(*g.action, nrm.store, remote.vars, rctx);
-    nrm.state = g.next;
-    Label l;
-    if (mode == LabelMode::Full)
-      l.text = strf("r%d: tau %s", i, g.label.empty() ? "-" : g.label.c_str());
-    l.actor = i;
-    l.decision = g.label;
-    out.emplace_back(std::move(next), std::move(l));
-  }
-  if (st.kind != StateKind::Comm) return;
-
-  if (!st.outputs.empty()) {
-    // Active state (§2.4: exactly one output guard) — rows C1/C2 of Table 1.
-    const OutputGuard& og = st.outputs[0];
-    if (og.cond && !ir::eval(*og.cond, rm.store, rctx)) return;
-    if (s.up[i].size() >= static_cast<std::size_t>(cap_)) return;
-    MsgClass cls = refined_->cls(og.msg);
-    AsyncState next = s;
-    auto& nrm = next.remotes[i];
-    // Row C2: a buffered request from the home is deleted; the home will
-    // interpret our request as an implicit nack for it (rule R3).
-    bool deleted = nrm.buffer.has_value();
-    nrm.buffer.reset();
-    Label l;
-    l.actor = i;
-    l.decision = protocol().message(og.msg).name;
-    if (cls == MsgClass::ElideAck) {
-      // Hand-design deviation: send and commit immediately, no handshake.
-      Msg req;
-      req.meta = Meta::Req;
-      req.msg = og.msg;
-      req.src = static_cast<std::uint8_t>(i);
-      req.payload = eval_payload(og, rm.store, i, kHome);
-      next.up[i].push(std::move(req));
-      if (og.action) ir::exec(*og.action, nrm.store, remote.vars, rctx);
-      nrm.state = og.next;
-      if (mode == LabelMode::Full)
-        l.text = strf("r%d: send %s (no ack)%s", i,
-                    protocol().message(og.msg).name.c_str(),
-                    deleted ? ", dropped buffered request" : "");
-      l.sent_req = 1;
-      l.completes_rendezvous = true;
-      l.granted_to = i;
-    } else {
-      Msg req;
-      req.meta = Meta::Req;
-      req.msg = og.msg;
-      req.src = static_cast<std::uint8_t>(i);
-      req.payload = eval_payload(og, rm.store, i, kHome);
-      next.up[i].push(std::move(req));
-      nrm.transient = true;
-      if (mode == LabelMode::Full)
-        l.text = strf("r%d C%d: request %s", i, deleted ? 2 : 1,
-                    protocol().message(og.msg).name.c_str());
-      l.sent_req = 1;
-    }
-    out.emplace_back(std::move(next), std::move(l));
-    return;
+                    protocol().message(snoop.msg).name.c_str(), snoop.src,
+                    cancelled  ? "applied, cancelling own request"
+                    : hit      ? "applied"
+                               : "ignored");
+    return sink.close();
   }
 
   // Passive state — row C3: answer the buffered request.
-  if (!rm.buffer.has_value()) return;
-  const Msg& m = *rm.buffer;
+  if (rm.transient || cur.kind != StateKind::Comm || !cur.outputs.empty())
+    return false;
+  const ir::MsgId msg = m.msg;  // in place, `m` dies with the answer
+  const bool fused = refined_->cls(msg) == MsgClass::FusedRequest;
   bool matched = false;
-  for (const auto& ig : st.inputs) {
-    if (ig.msg != m.msg) continue;
+  for (const auto& ig : cur.inputs) {
+    if (ig.msg != msg) continue;
     // Stable bus states mix `h?` inputs with `bcast?` snoop guards; a
     // buffered point-to-point request only answers through the former.
     if (ig.from.kind != PeerSrc::Kind::Home) continue;
     if (ig.cond && !ir::eval(*ig.cond, rm.store, rctx)) continue;
     matched = true;
-    if (s.up[i].size() >= static_cast<std::size_t>(cap_)) continue;
-    AsyncState next = s;
-    auto& nrm = next.remotes[i];
-    Msg taken = m;
+    if (full(s.up[i])) {
+      sink.blocked();
+      continue;
+    }
+    AsyncState& next = sink.target();
+    RemoteMachine& nrm = next.remotes[i];
+    const Msg taken = std::move(*nrm.buffer);
     nrm.buffer.reset();
-    Label l;
-    l.actor = i;
-    if (refined_->cls(m.msg) == MsgClass::FusedRequest &&
-        refined_->remote_replies_through(ig)) {
+    Label& l = sink.label(i);
+    if (fused && refined_->remote_replies_through(ig)) {
       // §3.3 reverse direction: apply the input, then immediately answer
       // with the reply — it doubles as the ack.
       apply_input(remote, nrm.store, nrm.state, ig, taken, i);
       const OutputGuard& og = remote.state(nrm.state).outputs[0];
-      Msg repl;
-      repl.meta = Meta::Repl;
-      repl.msg = og.msg;
-      repl.src = static_cast<std::uint8_t>(i);
-      repl.payload = eval_payload(og, nrm.store, i, kHome);
-      next.up[i].push(std::move(repl));
+      sink.send(next, true, i,
+                Msg{.meta = Meta::Repl, .msg = og.msg,
+                    .src = static_cast<std::uint8_t>(i),
+                    .payload = eval_payload(og, nrm.store, i, kHome)});
       if (og.action) ir::exec(*og.action, nrm.store, remote.vars, rctx);
       nrm.state = og.next;
-      if (mode == LabelMode::Full)
+      if (sink.text())
         l.text = strf("r%d C3: %s answered with repl %s", i,
-                    protocol().message(taken.msg).name.c_str(),
-                    protocol().message(repl.msg).name.c_str());
+                      protocol().message(taken.msg).name.c_str(),
+                      protocol().message(og.msg).name.c_str());
       l.sent_repl = 1;
-      l.completes_rendezvous = true;
-      l.granted_to = kHome;
     } else {
-      Msg ack;
-      ack.meta = Meta::Ack;
-      ack.src = static_cast<std::uint8_t>(i);
-      next.up[i].push(std::move(ack));
+      sink.send(next, true, i,
+                Msg{.meta = Meta::Ack, .src = static_cast<std::uint8_t>(i)});
       apply_input(remote, nrm.store, nrm.state, ig, taken, i);
-      if (mode == LabelMode::Full)
+      if (sink.text())
         l.text = strf("r%d C3: ack %s", i,
-                    protocol().message(taken.msg).name.c_str());
+                      protocol().message(taken.msg).name.c_str());
       l.sent_ack = 1;
-      l.completes_rendezvous = true;
-      l.granted_to = kHome;
     }
-    out.emplace_back(std::move(next), std::move(l));
+    l.completes_rendezvous = true;
+    l.granted_to = kHome;
+    if (sink.close()) return true;
   }
-  if (!matched) {
-    // Row C3, no guard satisfied: nack and keep waiting.
-    if (s.up[i].size() >= static_cast<std::size_t>(cap_)) return;
-    AsyncState next = s;
-    next.remotes[i].buffer.reset();
-    Msg nack;
-    nack.meta = Meta::Nack;
-    nack.src = static_cast<std::uint8_t>(i);
-    next.up[i].push(std::move(nack));
-    Label l;
-    if (mode == LabelMode::Full)
-      l.text = strf("r%d C3: nack %s", i,
-                  protocol().message(m.msg).name.c_str());
-    l.sent_nack = 1;
-    l.actor = i;
-    out.emplace_back(std::move(next), std::move(l));
+  if (matched) return false;
+  // Row C3, no guard satisfied: nack and keep waiting.
+  if (full(s.up[i])) {
+    sink.blocked();
+    return false;
   }
+  AsyncState& next = sink.target();
+  next.remotes[i].buffer.reset();
+  sink.send(next, true, i,
+            Msg{.meta = Meta::Nack, .src = static_cast<std::uint8_t>(i)});
+  Label& l = sink.label(i);
+  if (sink.text())
+    l.text = strf("r%d C3: nack %s", i, protocol().message(msg).name.c_str());
+  l.sent_nack = 1;
+  return sink.close();
+}
+
+template <class Sink>
+bool AsyncSystem::remote_tau(const AsyncState& s, int i, Sink& sink) const {
+  const ir::Process& remote = protocol().remote;
+  const RemoteMachine& rm = s.remotes[i];
+  const EvalCtx rctx{i};
+  // τ moves; the one-slot buffer rides along.
+  for (const auto& g : remote.state(rm.state).taus) {
+    if (g.cond && !ir::eval(*g.cond, rm.store, rctx)) continue;
+    if (!sink.allows(i, g.label)) continue;
+    AsyncState& next = sink.target();
+    RemoteMachine& nrm = next.remotes[i];
+    if (g.action) ir::exec(*g.action, nrm.store, remote.vars, rctx);
+    nrm.state = g.next;
+    Label& l = sink.label(i);
+    if (sink.text())
+      l.text = strf("r%d: tau %s", i, g.label.empty() ? "-" : g.label.c_str());
+    l.decision = g.label;
+    if (sink.close()) return true;
+  }
+  return false;
+}
+
+template <class Sink>
+bool AsyncSystem::remote_send(const AsyncState& s, int i, Sink& sink) const {
+  const ir::Process& remote = protocol().remote;
+  const RemoteMachine& rm = s.remotes[i];
+  const ir::State& st = remote.state(rm.state);
+  if (st.kind != StateKind::Comm || st.outputs.empty()) return false;
+  // Active state (§2.4: exactly one output guard) — rows C1/C2 of Table 1.
+  const OutputGuard& og = st.outputs[0];
+  const EvalCtx rctx{i};
+  if (og.cond && !ir::eval(*og.cond, rm.store, rctx)) return false;
+  const std::string& name = protocol().message(og.msg).name;
+  if (!sink.allows(i, name)) return false;
+  if (full(s.up[i])) {
+    sink.blocked();
+    return false;
+  }
+  std::vector<ir::Value> payload = eval_payload(og, rm.store, i, kHome);
+  AsyncState& next = sink.target();
+  RemoteMachine& nrm = next.remotes[i];
+  // Row C2: a buffered request from the home is deleted; the home will
+  // interpret our request as an implicit nack for it (rule R3).
+  const bool deleted = nrm.buffer.has_value();
+  nrm.buffer.reset();
+  sink.send(next, true, i,
+            Msg{.meta = Meta::Req, .msg = og.msg,
+                .src = static_cast<std::uint8_t>(i),
+                .payload = std::move(payload)});
+  Label& l = sink.label(i);
+  l.decision = name;
+  l.sent_req = 1;
+  if (refined_->cls(og.msg) == MsgClass::ElideAck) {
+    // Hand-design deviation: send and commit immediately, no handshake.
+    if (og.action) ir::exec(*og.action, nrm.store, remote.vars, rctx);
+    nrm.state = og.next;
+    if (sink.text())
+      l.text = strf("r%d: send %s (no ack)%s", i, name.c_str(),
+                    deleted ? ", dropped buffered request" : "");
+    l.completes_rendezvous = true;
+    l.granted_to = i;
+  } else {
+    nrm.transient = true;
+    if (sink.text())
+      l.text = strf("r%d C%d: request %s", i, deleted ? 2 : 1, name.c_str());
+  }
+  return sink.close();
 }
 
 // ---- encode / decode / describe ------------------------------------------------

@@ -4,7 +4,12 @@
 // buffer), the implicit-nack rule R3, and the §3.3 request/reply fusion.
 //
 // The same System interface as sem::RendezvousSystem, so verify::explore
-// model-checks it and sim::Simulator executes it.
+// model-checks it and sim::Simulator executes it. Each rule is written once,
+// against a sink that decides what an enabled edge does: the enumeration
+// sink behind successors() copies the state per edge and keeps going; the
+// in-place sink behind deliver_up/deliver_down/home_step/remote_step (the
+// discrete-event simulator's steps) patches the caller's state and stops
+// after the first applied edge.
 #pragma once
 
 #include <string>
@@ -14,8 +19,54 @@
 #include "refine/refined.hpp"
 #include "runtime/async_state.hpp"
 #include "sem/label.hpp"
+#include "support/contracts.hpp"
 
 namespace ccref::runtime {
+
+/// Outcome of one in-place step.
+enum class ExecResult : std::uint8_t {
+  Applied,  // the state was mutated; the label describes the step
+  Blocked,  // a step is enabled but a full channel prevents it right now
+  None,     // nothing enabled here (or everything gated off)
+};
+
+/// Gate for controllable remote decisions: τ labels (e.g. "evict") and
+/// active-send message names (e.g. "req"). Obligatory steps — deliveries,
+/// C3 answers/nacks, snoop answers, home steps — are never gated.
+/// Implementations must allow the empty label (τs without a decision name
+/// are not controllable).
+class DecisionGate {
+ public:
+  virtual ~DecisionGate() = default;
+  [[nodiscard]] virtual bool allows(int remote,
+                                    const std::string& decision) const = 0;
+};
+
+struct AllowAllGate final : DecisionGate {
+  [[nodiscard]] bool allows(int, const std::string&) const override {
+    return true;
+  }
+};
+
+/// Wire messages pushed by one applied in-place step, so a discrete-event
+/// scheduler can enqueue their deliveries without diffing channel lengths.
+/// A step pushes at most two (home C2: eviction nack + the new request).
+struct SendLog {
+  struct Entry {
+    bool up;            // true: up[node] (remote→home); false: down[node]
+    std::uint8_t node;  // channel index
+    Meta meta;
+    ir::MsgId msg;  // meaningful for Req/Repl/Snoop; the flag for SnoopAck
+  };
+  std::uint8_t count = 0;
+  Entry e[2];
+
+  void add(bool up, std::uint8_t node, Meta meta, ir::MsgId msg) {
+    CCREF_ASSERT(count < 2);
+    e[count++] = {up, node, meta, msg};
+  }
+  void clear() { count = 0; }
+};
 
 class AsyncSystem {
  public:
@@ -92,25 +143,63 @@ class AsyncSystem {
   }
   [[nodiscard]] int num_remotes() const { return n_; }
 
+  // ---- in-place steps (the discrete-event simulator) ----
+  // Each applies to `s` itself the first edge, in successors() order, of
+  // one rule family that is enabled and not capacity-blocked; fills `l`
+  // without text (reusing its string capacity) and, when `log` is given,
+  // records the step's channel pushes. Where the enumeration offers a
+  // choice (which buffered request to ack, which C2 target to request),
+  // the first edge wins; schedule diversity comes from the caller's event
+  // interleaving.
+
+  /// Deliver the head of up[i] to the home (rows T1-T6, R3, fused replies,
+  /// snoop acks).
+  ExecResult deliver_up(State& s, int i, sem::Label& l, SendLog* log) const;
+  /// Deliver the head of down[i] to remote i. Never Blocked: every case
+  /// consumes the head.
+  ExecResult deliver_down(State& s, int i, sem::Label& l,
+                          SendLog* log) const;
+  /// One home local step: bus transaction, else first τ, else first C1
+  /// completion, else first C2 initiation.
+  ExecResult home_step(State& s, sem::Label& l, SendLog* log) const;
+  /// One remote local step. A parked snoop or a request buffered in a
+  /// passive state is answered first; only then come the gate-allowed τs
+  /// and the gate-allowed active send.
+  ExecResult remote_step(State& s, int i, const DecisionGate& gate,
+                         sem::Label& l, SendLog* log) const;
+
  private:
-  // In-place single-transition executor (runtime/async_exec.hpp); shares the
-  // private helpers so the two transition semantics cannot drift apart.
-  friend class AsyncExec;
-
-  using Out = std::vector<std::pair<AsyncState, sem::Label>>;
-
-  // ---- deliveries ----
-  void deliver_to_home(const State& s, int i, sem::LabelMode mode,
-                       Out& out) const;
-  void deliver_to_remote(const State& s, int i, sem::LabelMode mode,
-                         Out& out) const;
-
-  // ---- local steps ----
-  void home_local(const State& s, sem::LabelMode mode, Out& out) const;
-  void remote_local(const State& s, int i, sem::LabelMode mode,
-                    Out& out) const;
+  // ---- the rules (Tables 1 and 2) ----
+  // Every rule family is a template over a sink (async_system.cpp defines
+  // and instantiates them). For each enabled edge a rule asks
+  // `sink.allows(actor, decision)` (controllable remote steps only), runs
+  // every capacity check — `sink.blocked()` on a full channel — before its
+  // first write, takes the state to patch from `sink.target()`, pushes
+  // through `sink.send()`, fills `sink.label(actor)`, and returns true as
+  // soon as `sink.close()` does. Under the in-place sink `s` and the target
+  // are one object, so a rule reads everything it needs from `s` first.
+  template <class Sink>
+  bool deliver_to_home(const State& s, int i, Sink& sink) const;
+  template <class Sink>
+  bool deliver_to_remote(const State& s, int i, Sink& sink) const;
+  template <class Sink>
+  bool home_local(const State& s, Sink& sink) const;
+  /// remote_answer, remote_tau, remote_send in enumeration order.
+  template <class Sink>
+  bool remote_local(const State& s, int i, Sink& sink) const;
+  /// Answer a parked snoop (any remote) or row C3 (passive remote).
+  template <class Sink>
+  bool remote_answer(const State& s, int i, Sink& sink) const;
+  template <class Sink>
+  bool remote_tau(const State& s, int i, Sink& sink) const;
+  /// Rows C1/C2 of Table 1: the active send.
+  template <class Sink>
+  bool remote_send(const State& s, int i, Sink& sink) const;
 
   // ---- helpers ----
+  [[nodiscard]] bool full(const Channel& c) const {
+    return c.size() >= static_cast<std::size_t>(cap_);
+  }
   /// Does message m satisfy some input guard of home state `sid`? (§3.2's
   /// "known to complete a rendezvous in the current state".)
   [[nodiscard]] bool satisfies_home_guard(const State& s, ir::StateId sid,

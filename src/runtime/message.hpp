@@ -40,7 +40,7 @@ struct Msg {
   Meta meta = Meta::Req;
   ir::MsgId msg = 0;      // meaningful for Req/Repl
   std::uint8_t src = 0;   // sender: node id, or kHomeSrc for the home
-  std::vector<ir::Value> payload;
+  std::vector<ir::Value> payload{};
 
   static constexpr std::uint8_t kHomeSrc = 0xff;
 
@@ -74,6 +74,12 @@ struct Channel {
   [[nodiscard]] const Msg& front() const { return q.front(); }
   void push(Msg m) { q.push_back(std::move(m)); }
   void pop() { q.erase(q.begin()); }
+  /// Pop the head, handing it to the caller.
+  Msg take() {
+    Msg m = std::move(q.front());
+    pop();
+    return m;
+  }
 
   friend bool operator==(const Channel&, const Channel&) = default;
 

@@ -12,14 +12,13 @@
 #include <unordered_map>
 #include <vector>
 
-#include "runtime/async_exec.hpp"
+#include "runtime/async_system.hpp"
 #include "support/calendar_queue.hpp"
 #include "support/event_pool.hpp"
 #include "support/node_set.hpp"
 
 namespace ccref::sim {
 
-using runtime::AsyncExec;
 using runtime::AsyncState;
 using runtime::AsyncSystem;
 using runtime::ExecResult;
@@ -110,7 +109,6 @@ class Engine {
                                  static_cast<int>(std::max<std::uint32_t>(
                                      1, source.num_nodes()))}))),
         sys_(refined, w_),
-        exec_(sys_),
         vocab_(&source.vocabulary()),
         initial_(sys_.initial()) {
     const ir::Protocol& p = sys_.protocol();
@@ -347,7 +345,7 @@ class Engine {
       progressed = false;
       for (;;) {
         log.clear();
-        if (exec_.home_step(a.st, lab, &log) != ExecResult::Applied) break;
+        if (sys_.home_step(a.st, lab, &log) != ExecResult::Applied) break;
         progressed = true;
         account(l, a, lab, log, now);
       }
@@ -358,7 +356,7 @@ class Engine {
         mask &= mask - 1;
         for (;;) {
           log.clear();
-          if (exec_.remote_step(a.st, s, gate, lab, &log) !=
+          if (sys_.remote_step(a.st, s, gate, lab, &log) !=
               ExecResult::Applied)
             break;
           progressed = true;
@@ -405,7 +403,7 @@ class Engine {
       }
       if (chosen < 0) return;  // everything pending is blocked on down slack
       log.clear();
-      const ExecResult r = exec_.deliver_up(a.st, chosen, lab, &log);
+      const ExecResult r = sys_.deliver_up(a.st, chosen, lab, &log);
       if (r == ExecResult::Blocked) {
         a.blocked_up |= std::uint64_t{1} << chosen;
         continue;  // skip this channel, try the next pending one
@@ -512,7 +510,7 @@ class Engine {
           }
         }
         sem::Label lab;
-        const ExecResult r = exec_.deliver_down(a.st, i, lab, nullptr);
+        const ExecResult r = sys_.deliver_down(a.st, i, lab, nullptr);
         CCREF_ASSERT(r == ExecResult::Applied);
         account(l, a, lab, SendLog{}, now);
         a.dirty |= std::uint64_t{1} << i;
@@ -566,7 +564,6 @@ class Engine {
   const std::uint32_t num_nodes_;
   const int w_;  // protocol remotes per address instance
   AsyncSystem sys_;
-  AsyncExec exec_;
   const std::set<std::string>* vocab_;
   const AsyncState initial_;
   std::vector<bool> msg_data_;  // MsgId -> carries a payload
@@ -735,6 +732,10 @@ DesStats des_simulate(const refine::RefinedProtocol& refined,
   CCREF_REQUIRE(source.num_nodes() >= 1);
   CCREF_REQUIRE(options.lanes >= 1);
   CCREF_REQUIRE(options.window >= 1);
+  CCREF_REQUIRE_MSG(refined.base->topology == ir::Topology::Star,
+                    "des_simulate drives star protocols only: the simulator "
+                    "does not schedule split bus transactions (use "
+                    "sim::bus_simulate for bus protocols)");
   Engine engine(refined, source, options);
   return engine.run();
 }

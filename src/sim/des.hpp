@@ -4,11 +4,13 @@
 // messages", this engine asks "how many CYCLES does it take": every wire
 // message gets a latency from sim::CostModel, the home directory has an
 // occupancy that creates queueing under contention, and per-op latency is
-// collected into percentile histograms. The protocol semantics are the same
-// runtime::AsyncSystem rules, executed in place by runtime::AsyncExec — no
-// state copies, no successor enumeration — on a pool-allocated event core
-// with a batched calendar queue (support/event_pool.hpp,
-// support/calendar_queue.hpp).
+// collected into percentile histograms. The protocol semantics are the
+// model checker's own runtime::AsyncSystem rules, stepped in place through
+// AsyncSystem::deliver_up/deliver_down/home_step/remote_step — one applied
+// edge per call, no state copies, no successor enumeration — on a
+// pool-allocated event core with a batched calendar queue
+// (support/event_pool.hpp, support/calendar_queue.hpp). Star protocols
+// only: the snooping family's bus is timed by sim::bus_simulate.
 //
 // Scaling past kMaxNodes: the protocol instance is per ADDRESS, with up to
 // `slot_cap` (<= 64) concurrently *bound* nodes. A node binds a slot when it

@@ -1,9 +1,10 @@
 // Tests for the discrete-event simulator: the event core (calendar queue,
-// event pool, histogram), the cost model and trace parser, and — most
-// importantly — cross-engine agreement: runtime::AsyncExec executing under
-// the DES scheduler must produce the same protocol behaviour (message
-// counts, op completions, verdicts) as the random-step sim::Simulator,
-// since both claim to implement the Tables 1/2 asynchronous semantics.
+// event pool, histogram), the cost model and trace parser, cross-engine
+// agreement with the random-step sim::Simulator (message counts, op
+// completions, verdicts under the same Tables 1/2 rules, which the DES
+// steps in place), pinned statistics for fixed seeds, and determinism
+// across lanes. That each in-place step is an edge of the model checker's
+// enumeration is tested edge by edge in test_runtime.cpp (AsyncInPlace).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "protocols/invalidate.hpp"
 #include "protocols/lockserver.hpp"
 #include "protocols/migratory.hpp"
+#include "protocols/snoop.hpp"
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
 #include "sim/des.hpp"
@@ -515,6 +517,16 @@ TEST(Des, WedgeProducesStructuredStall) {
   EXPECT_EQ(stats.stall.op, "acquire");
   EXPECT_EQ(stats.stall.remote, 0);
   EXPECT_NE(stats.stall.to_string().find("acquire"), std::string::npos);
+}
+
+TEST(Des, RejectsBusProtocols) {
+  // The simulator schedules point-to-point traffic only; the snooping
+  // family's split bus transactions are timed by sim::bus_simulate.
+  auto rp = refine::refine(protocols::make_mesi());
+  Workload w;
+  w.per_remote = {{}};
+  WorkloadSource src(w);
+  EXPECT_DEATH((void)des_simulate(rp, src), "star");
 }
 
 TEST(Des, EventBudgetStall) {

@@ -354,9 +354,10 @@ void expect_ext_agreement(const ir::Protocol& p, int n, const char* what) {
         EXPECT_GT(ext.external_bytes, 0u) << what;
         EXPECT_GT(ext.omission_probability, 0.0) << what;
         EXPECT_LT(ext.omission_probability, 1e-9) << what;
-        if (por == PorMode::Ample)
+        if (por == PorMode::Ample) {
           EXPECT_NE(ext.note.find("por downgraded"), std::string::npos)
               << what << " note: " << ext.note;
+        }
       }
     }
   }

@@ -3,11 +3,14 @@
 // differences between refinement variants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "protocols/invalidate.hpp"
+#include "protocols/lockserver.hpp"
 #include "protocols/migratory.hpp"
 #include "protocols/snoop.hpp"
+#include "protocols/writeupdate.hpp"
 #include "refine/abstraction.hpp"
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
@@ -20,6 +23,7 @@ namespace {
 using refine::Options;
 using runtime::AsyncState;
 using runtime::AsyncSystem;
+using runtime::ExecResult;
 using runtime::Meta;
 using sem::RendezvousSystem;
 
@@ -206,6 +210,196 @@ TEST(Async, EnumerationDigest) {
       << "invalidate n=3";
   EXPECT_EQ(enumeration_digest(AsyncSystem(rmesi, 2)), 0x5a44ba3aae9f9d90ull)
       << "mesi n=2";
+}
+
+// ---- in-place steps ----------------------------------------------------------
+
+/// One wire message pushed by a step: its channel and kind.
+struct Push {
+  bool up;
+  int node;
+  Meta meta;
+  ir::MsgId msg;
+  friend auto operator<=>(const Push&, const Push&) = default;
+};
+
+/// The messages `to` holds beyond what `from` had at each channel's tail,
+/// given that the step popped the head of up[i] (`popped` == 1) or down[i]
+/// (`popped` == 2), or neither (0).
+std::vector<Push> tail_pushes(const AsyncState& from, const AsyncState& to,
+                              int popped, int i) {
+  std::vector<Push> out;
+  for (bool up : {true, false})
+    for (std::size_t j = 0; j < from.up.size(); ++j) {
+      const auto& a = (up ? from.up : from.down)[j].q;
+      const auto& b = (up ? to.up : to.down)[j].q;
+      const bool head = static_cast<int>(j) == i && popped == (up ? 1 : 2);
+      for (std::size_t k = a.size() - (head ? 1 : 0); k < b.size(); ++k)
+        out.push_back({up, static_cast<int>(j), b[k].meta, b[k].msg});
+    }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+bool same_flags(const sem::Label& a, const sem::Label& b) {
+  return a.completes_rendezvous == b.completes_rendezvous &&
+         a.sent_req == b.sent_req && a.sent_ack == b.sent_ack &&
+         a.sent_nack == b.sent_nack && a.sent_repl == b.sent_repl &&
+         a.actor == b.actor && a.granted_to == b.granted_to &&
+         a.decision == b.decision;
+}
+
+struct StepCounts {
+  std::size_t applied = 0;
+  std::size_t blocked = 0;
+  std::size_t r3_nacks = 0;  // a request from the home's pending target, nacked
+};
+
+/// Run every in-place step on every reachable state and hold it to
+/// successors(): an Applied step is one of the enumerated edges (state and
+/// label flags, starting from a stale label as the simulator's reused one
+/// is) and logs exactly that edge's channel-tail pushes; Blocked and None
+/// leave the state alone, and a system with one more channel slot turns
+/// Blocked into Applied but leaves None alone — so Blocked means a
+/// capacity-blocked edge exists.
+StepCounts expect_in_place_matches_enumeration(const ir::Protocol& p,
+                                               Options opts, int n,
+                                               const std::string& what) {
+  const auto rp = refine::refine(p, opts);
+  ++opts.channel_capacity;
+  const auto roomy_rp = refine::refine(p, opts);
+  const AsyncSystem sys(rp, n);
+  const AsyncSystem roomy(roomy_rp, n);
+  const runtime::AllowAllGate gate;
+  sem::Label stale;
+  stale.text = stale.decision = "stale";
+  stale.completes_rendezvous = true;
+  stale.sent_req = stale.sent_ack = stale.sent_nack = stale.sent_repl = 9;
+  stale.actor = stale.granted_to = 7;
+  StepCounts counts;
+  for (const AsyncState& s : reachable(sys)) {
+    const auto edges = sys.successors(s, sem::LabelMode::Quiet);
+    auto check = [&](const char* step_name, int i, int popped, auto step) {
+      AsyncState t = s;
+      sem::Label l = stale;
+      runtime::SendLog log;
+      const ExecResult r = step(sys, t, l, &log);
+      AsyncState u = s;
+      sem::Label ul;
+      const ExecResult with_room = step(roomy, u, ul, nullptr);
+      auto where = [&] {
+        return what + " " + step_name + "(" + std::to_string(i) + ") at " +
+               sys.describe(s);
+      };
+      if (r != ExecResult::Applied) {
+        EXPECT_TRUE(t == s) << where();
+        EXPECT_EQ(log.count, 0) << where();
+        EXPECT_EQ(with_room == ExecResult::Applied, r == ExecResult::Blocked)
+            << where();
+        if (r == ExecResult::Blocked) ++counts.blocked;
+        return;
+      }
+      ++counts.applied;
+      EXPECT_EQ(with_room, ExecResult::Applied) << where();
+      EXPECT_TRUE(l.text.empty()) << where();
+      const bool enumerated =
+          std::any_of(edges.begin(), edges.end(), [&](const auto& e) {
+            return e.first == t && same_flags(e.second, l);
+          });
+      EXPECT_TRUE(enumerated) << where() << " -> " << sys.describe(t);
+      std::vector<Push> logged;
+      for (int k = 0; k < log.count; ++k)
+        logged.push_back({log.e[k].up, log.e[k].node, log.e[k].meta,
+                          log.e[k].msg});
+      std::sort(logged.begin(), logged.end());
+      EXPECT_TRUE(logged == tail_pushes(s, t, popped, i)) << where();
+      if (popped == 1 && l.sent_nack && s.home.transient &&
+          s.home.t_target == i)
+        ++counts.r3_nacks;
+    };
+    for (int i = 0; i < n; ++i) {
+      check("deliver_up", i, 1,
+            [i](const AsyncSystem& y, AsyncState& t, sem::Label& l,
+                runtime::SendLog* log) { return y.deliver_up(t, i, l, log); });
+      check("deliver_down", i, 2,
+            [i](const AsyncSystem& y, AsyncState& t, sem::Label& l,
+                runtime::SendLog* log) {
+              return y.deliver_down(t, i, l, log);
+            });
+      check("remote_step", i, 0,
+            [i, &gate](const AsyncSystem& y, AsyncState& t, sem::Label& l,
+                       runtime::SendLog* log) {
+              return y.remote_step(t, i, gate, l, log);
+            });
+    }
+    check("home_step", -1, 0,
+          [](const AsyncSystem& y, AsyncState& t, sem::Label& l,
+             runtime::SendLog* log) { return y.home_step(t, l, log); });
+  }
+  EXPECT_GT(counts.applied, 0u) << what;
+  return counts;
+}
+
+TEST(AsyncInPlace, StepsAreEnumeratedEdges) {
+  const auto mig = protocols::make_migratory();
+  const auto inv = protocols::make_invalidate();
+  const auto lock = protocols::make_lock_server();
+  for (int n : {2, 3}) {
+    const std::string at = " n=" + std::to_string(n);
+    expect_in_place_matches_enumeration(mig, {}, n, "migratory" + at);
+    expect_in_place_matches_enumeration(inv, {}, n, "invalidate" + at);
+    expect_in_place_matches_enumeration(lock, {}, n, "lockserver" + at);
+  }
+  // Write-update at n=3 has 1.1M reachable states; n=2 (10k) covers its
+  // data-carrying updates.
+  expect_in_place_matches_enumeration(protocols::make_write_update(), {}, 2,
+                                      "writeupdate n=2");
+}
+
+TEST(AsyncInPlace, FullChannelsBlock) {
+  // One-slot channels fill up in reachable states, so every rule's
+  // capacity checks run before its first write or report Blocked.
+  Options tight;
+  tight.channel_capacity = 1;
+  struct Case {
+    ir::Protocol protocol;
+    int n;
+    const char* what;
+  };
+  for (const Case& c : {Case{protocols::make_migratory(), 3, "migratory"},
+                        Case{protocols::make_invalidate(), 3, "invalidate"},
+                        Case{protocols::make_mesi(), 2, "mesi"}})
+    EXPECT_GT(
+        expect_in_place_matches_enumeration(c.protocol, tight, c.n, c.what)
+            .blocked,
+        0u)
+        << c.what;
+}
+
+TEST(AsyncInPlace, AblatedBuffers) {
+  // Without the §3.2 ack buffer the home can be transient with a full
+  // buffer.
+  Options no_ack;
+  no_ack.ack_buffer = false;
+  expect_in_place_matches_enumeration(protocols::make_invalidate(), no_ack,
+                                      3, "invalidate no-ack n=3");
+  // With the progress buffer off as well, two rival requests can fill it
+  // while the home waits on the owner; the owner's own request then meets
+  // rule R3 with no room and is nacked (row T3's nack path, n >= 4).
+  Options no_buffers = no_ack;
+  no_buffers.progress_buffer = false;
+  EXPECT_GT(expect_in_place_matches_enumeration(protocols::make_migratory(),
+                                                no_buffers, 4,
+                                                "migratory no-buffers n=4")
+                .r3_nacks,
+            0u);
+}
+
+TEST(AsyncInPlace, SnoopingBusSteps) {
+  // The rules carry the split bus transaction (Snoop/SnoopAck) too, so the
+  // in-place steps need no topology gate of their own.
+  expect_in_place_matches_enumeration(protocols::make_mesi(), {}, 3,
+                                      "mesi n=3");
 }
 
 // ---- full exploration -------------------------------------------------------

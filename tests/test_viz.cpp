@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "protocols/migratory.hpp"
+#include "protocols/snoop.hpp"
 #include "refine/refined.hpp"
 #include "viz/dot.hpp"
 
@@ -61,6 +62,15 @@ TEST(Dot, ElideAckDrawnDotted) {
   auto line_end = dot.find('\n', pos);
   EXPECT_NE(dot.substr(pos, line_end - pos).find("dotted"),
             std::string::npos);
+}
+
+TEST(Dot, SnoopEdgesNameTheBus) {
+  // Broadcast sends and snoop guards are drawn as `bcast`, as ir/print
+  // spells them, never as an unknown peer.
+  auto p = protocols::make_mesi();
+  std::string dot = rendezvous_dot(p, p.remote);
+  EXPECT_NE(dot.find("bcast"), std::string::npos);
+  EXPECT_EQ(dot.find("\"?"), std::string::npos) << dot;
 }
 
 TEST(Dot, OutputIsBalanced) {
