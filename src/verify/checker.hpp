@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -173,16 +174,24 @@ concept HasPor = requires(const Sys& sys, const typename Sys::State& s) {
   { sys.successors_por(s, sem::LabelMode::Quiet) };
 };
 
+/// The chosen ample set as edge indices into the full enumeration: the
+/// down-head delivery plus the [local_begin, local_end) local range.
+struct AmpleEdges {
+  std::size_t delivery, local_begin, local_end;
+  [[nodiscard]] bool contains(std::size_t e) const {
+    return e == delivery || (e >= local_begin && e < local_end);
+  }
+};
+
 /// Select the ample candidate to expand: invisible to the observer mask
 /// (bit i set = remote i's moves can change an observed predicate) and a
 /// strict subset of the enabled edges (expanding everything through a
 /// candidate that IS everything gains nothing and would double-process
 /// edges). Smallest edge count first, lowest process id on ties, so the
 /// sequential and parallel engines make the same deterministic choice.
-/// Returns nullptr when no candidate qualifies: fall back to full expansion.
+/// Returns nullopt when no candidate qualifies: fall back to full expansion.
 template <class PS>
-const typename PS::Candidate* pick_ample(const PS& ps,
-                                         std::uint64_t visible) {
+std::optional<AmpleEdges> pick_ample(const PS& ps, std::uint64_t visible) {
   const typename PS::Candidate* best = nullptr;
   std::size_t best_edges = 0;
   for (const auto& c : ps.candidates) {
@@ -196,7 +205,27 @@ const typename PS::Candidate* pick_ample(const PS& ps,
       best_edges = edges;
     }
   }
-  return best;
+  if (!best) return std::nullopt;
+  return AmpleEdges{best->delivery, best->local_begin, best->local_end};
+}
+
+/// Ample-set expansion, the one copy every engine runs: the candidate's
+/// delivery, then its local range, then — when there is no candidate, or
+/// `revisit` turned true while expanding it (the C3 proviso, see
+/// bfs_reach) — every other edge. `step(e)` expands edge e of the full
+/// enumeration and returns false to stop; expand_ample then returns false.
+template <class Step>
+bool expand_ample(std::size_t n_edges, const std::optional<AmpleEdges>& amp,
+                  const bool& revisit, Step&& step) {
+  if (amp) {
+    if (!step(amp->delivery)) return false;
+    for (std::size_t e = amp->local_begin; e < amp->local_end; ++e)
+      if (!step(e)) return false;
+    if (!revisit) return true;  // proviso clear: postpone the rest
+  }
+  for (std::size_t e = 0; e < n_edges; ++e)
+    if (!(amp && amp->contains(e)) && !step(e)) return false;
+  return true;
 }
 
 /// Canonicalize `s` in place when the mode asks for it and the system
@@ -223,6 +252,24 @@ auto successors_of(const Sys& sys, const typename Sys::State& s,
   } else {
     return sys.successors(s);
   }
+}
+
+/// Full successor enumeration of `s`; under PorMode::Ample on a system
+/// with successors_por, `amp` also receives the ample set to expand first
+/// (left empty otherwise: expand everything).
+template <class Sys>
+auto successors_with_ample(const Sys& sys, const typename Sys::State& s,
+                           sem::LabelMode mode, PorMode por,
+                           std::uint64_t visible,
+                           std::optional<AmpleEdges>& amp) {
+  if constexpr (HasPor<Sys>) {
+    if (por == PorMode::Ample) {
+      auto ps = sys.successors_por(s, mode);
+      amp = pick_ample(ps, visible);
+      return std::move(ps.all);
+    }
+  }
+  return successors_of(sys, s, mode);
 }
 
 /// Per-step match for stored encodings: size, then hash, then bytes — so
@@ -428,39 +475,16 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
       return BfsOutcome::Complete;  // keep going
     };
 
-    if constexpr (HasPor<Sys>) {
-      if (por == PorMode::Ample) {
-        auto ps = sys.successors_por(state, mode);
-        if (!on_expand(cursor, state, ps.all)) return BfsOutcome::Stopped;
-        const auto* amp = pick_ample(ps, por_visible);
-        auto in_ample = [&](std::size_t e) {
-          return amp && (e == amp->delivery ||
-                         (e >= amp->local_begin && e < amp->local_end));
-        };
-        if (amp) {
-          auto r = step(ps.all[amp->delivery].first,
-                        ps.all[amp->delivery].second);
-          if (r != BfsOutcome::Complete) return r;
-          for (std::size_t e = amp->local_begin; e < amp->local_end; ++e) {
-            r = step(ps.all[e].first, ps.all[e].second);
-            if (r != BfsOutcome::Complete) return r;
-          }
-          if (!revisit) continue;  // proviso clear: postpone the rest
-        }
-        for (std::size_t e = 0; e < ps.all.size(); ++e) {
-          if (in_ample(e)) continue;
-          auto r = step(ps.all[e].first, ps.all[e].second);
-          if (r != BfsOutcome::Complete) return r;
-        }
-        continue;
-      }
-    }
-    auto succs = successors_of(sys, state, mode);
+    std::optional<AmpleEdges> amp;
+    auto succs =
+        successors_with_ample(sys, state, mode, por, por_visible, amp);
     if (!on_expand(cursor, state, succs)) return BfsOutcome::Stopped;
-    for (auto& [succ, label] : succs) {
-      auto r = step(succ, label);
-      if (r != BfsOutcome::Complete) return r;
-    }
+    auto r = BfsOutcome::Complete;
+    expand_ample(succs.size(), amp, revisit, [&](std::size_t e) {
+      r = step(succs[e].first, succs[e].second);
+      return r == BfsOutcome::Complete;
+    });
+    if (r != BfsOutcome::Complete) return r;
   }
   return BfsOutcome::Complete;
 }

@@ -334,25 +334,9 @@ template <class Sys>
     // system component, so two product states sharing a system state expand
     // the same ample set; the cycle proviso (revisit below) is evaluated on
     // product inserts, where the cycles we must not starve live.
-    decltype(detail::successors_of(sys, state, sem::LabelMode::Quiet)) succs;
-    std::uint32_t amp_delivery = 0, amp_begin = 0, amp_end = 0;
-    bool have_amp = false;
-    bool computed = false;
-    if constexpr (detail::HasPor<Sys>) {
-      if (por == PorMode::Ample) {
-        auto ps = sys.successors_por(state, sem::LabelMode::Quiet);
-        if (const auto* amp = detail::pick_ample(ps, opts.por_visible)) {
-          amp_delivery = amp->delivery;
-          amp_begin = amp->local_begin;
-          amp_end = amp->local_end;
-          have_amp = true;
-        }
-        succs = std::move(ps.all);
-        computed = true;
-      }
-    }
-    if (!computed)
-      succs = detail::successors_of(sys, state, sem::LabelMode::Quiet);
+    std::optional<detail::AmpleEdges> amp;
+    auto succs = detail::successors_with_ample(
+        sys, state, sem::LabelMode::Quiet, por, opts.por_visible, amp);
 
     std::uint64_t enabled = 0, genabled = 0;
     for (auto& [succ, label] : succs) {
@@ -426,21 +410,8 @@ template <class Sys>
         sys.encode(succ, enc);
         return push_product(v, enc.bytes(), enc.marks(), fair, granted);
       };
-      if (have_amp) {
-        if (!emit(amp_delivery)) return finish(Status::Unfinished);
-        for (std::size_t e = amp_begin; e < amp_end; ++e)
-          if (!emit(e)) return finish(Status::Unfinished);
-        if (revisit) {
-          for (std::size_t e = 0; e < succs.size(); ++e) {
-            if (e == amp_delivery || (e >= amp_begin && e < amp_end))
-              continue;
-            if (!emit(e)) return finish(Status::Unfinished);
-          }
-        }
-      } else {
-        for (std::size_t e = 0; e < succs.size(); ++e)
-          if (!emit(e)) return finish(Status::Unfinished);
-      }
+      if (!detail::expand_ample(succs.size(), amp, revisit, emit))
+        return finish(Status::Unfinished);
     }
     if (!charge_aux()) return finish(Status::Unfinished);
   }

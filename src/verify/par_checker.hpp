@@ -301,48 +301,23 @@ template <class Sys>
         return true;
       };
 
-      if constexpr (detail::HasPor<Sys>) {
-        if (por == PorMode::Ample) {
-          auto ps = sys.successors_por(state, mode);
-          if (ps.all.empty() && opts.detect_deadlock) {
-            report(Status::Deadlock, item->ref,
-                   "deadlock: no enabled transition in " +
-                       sys.describe(state));
-            return;
-          }
-          // Conservative C3 under parallelism: a racing insert of an ample
-          // successor by another worker reads back AlreadyPresent here, so
-          // races only cause extra full expansions, never a missed one.
-          const auto* amp = detail::pick_ample(ps, /*visible=*/0);
-          auto in_ample = [&](std::size_t e) {
-            return amp && (e == amp->delivery ||
-                           (e >= amp->local_begin && e < amp->local_end));
-          };
-          if (amp) {
-            if (!do_edge(ps.all[amp->delivery].first,
-                         ps.all[amp->delivery].second))
-              return;
-            for (std::size_t e = amp->local_begin; e < amp->local_end; ++e)
-              if (!do_edge(ps.all[e].first, ps.all[e].second)) return;
-          }
-          if (!amp || revisit) {
-            for (std::size_t e = 0; e < ps.all.size(); ++e) {
-              if (in_ample(e)) continue;
-              if (!do_edge(ps.all[e].first, ps.all[e].second)) return;
-            }
-          }
-          in_flight.fetch_sub(1, std::memory_order_acq_rel);
-          continue;
-        }
-      }
-      auto succs = detail::successors_of(sys, state, mode);
+      std::optional<detail::AmpleEdges> amp;
+      auto succs = detail::successors_with_ample(sys, state, mode, por,
+                                                 /*visible=*/0, amp);
       if (succs.empty() && opts.detect_deadlock) {
         report(Status::Deadlock, item->ref,
                "deadlock: no enabled transition in " + sys.describe(state));
         return;
       }
-      for (auto& [succ, label] : succs)
-        if (!do_edge(succ, label)) return;
+      // Conservative C3 under parallelism: a racing insert of an ample
+      // successor by another worker reads back AlreadyPresent here, so
+      // races only cause extra full expansions, never a missed one.
+      if (!detail::expand_ample(succs.size(), amp, revisit,
+                                [&](std::size_t e) {
+                                  return do_edge(succs[e].first,
+                                                 succs[e].second);
+                                }))
+        return;
       in_flight.fetch_sub(1, std::memory_order_acq_rel);
     }
   };

@@ -4,10 +4,13 @@
 // This keeps the multi-core-SPIN sharding geometry — a state's 64-bit
 // hash picks the shard (high bits; each shard's open-addressing table
 // uses the low bits, so the two choices stay independent) — but shards
-// are now a STRIPING detail, not a lock domain: each shard is a
-// ConcurrentCollapsedSet whose insert-if-absent is a claim-by-CAS /
+// are now a STRIPING detail, not a lock domain: each shard is an
+// AtomicByteTable whose insert-if-absent is a claim-by-CAS /
 // publish-with-release protocol (support/atomic_table.hpp), so any
 // number of threads insert into the same shard without serializing.
+// Under CompressionMode::Collapse every shard stores the tuples of one
+// shared ComponentCodec (collapse.hpp): one dictionary set for the whole
+// run, exactly the one the sequential engine builds.
 // More shards still help (they split the resize epochs and spread the
 // allocation bump counters), which is why the parallel checker defaults
 // them to the job count rather than jobs*8 mutex domains.
@@ -24,9 +27,9 @@
 //   * insert() may be called from any thread at any time.
 //   * at() / parent_of() / stored_bytes() require quiescence (no
 //     concurrent insert) — the checker only calls them after workers
-//     stop. Under Collapse, at() expands into a per-shard scratch
-//     buffer: a returned span is valid until the next at() on the same
-//     shard; callers that need several states at once copy.
+//     stop. Under Collapse, at() expands into a scratch buffer: a
+//     returned span is valid until the next at() call; callers that need
+//     several states at once copy.
 #pragma once
 
 #include <atomic>
@@ -81,22 +84,21 @@ class ShardedStateSet {
   /// `shard_count` is rounded up to a power of two and clamped to
   /// [1, kMaxShards]. `track_parents` stores one packed Ref inline per
   /// record for trace reconstruction. Under CompressionMode::Collapse
-  /// each shard keeps its own dictionaries — shard choice hashes the raw
-  /// (canonical) encoding, so equal states land in one shard and never
-  /// need sibling dictionaries to agree on indices; the component
-  /// STRUCTURE, however, is shared (one CollapseStructure) so every
-  /// shard slices identically. `st.expected_states` is split evenly
-  /// across shards to pre-size their tables; all construction floors
+  /// all shards share one ComponentCodec, so dictionary indices are
+  /// global; shard choice still hashes the raw (canonical) encoding.
+  /// `st.expected_states` is split evenly across shards to pre-size
+  /// their tables; all construction floors
   /// shrink until they fit a quarter of the budget, so even tiny limits
   /// leave headroom for actual states. The storage routing (hash
   /// compaction, spill policy, external tier) is threaded to every shard
-  /// and dictionary.
+  /// and to the codec.
   ShardedStateSet(std::size_t memory_limit_bytes, unsigned shard_count,
                   bool track_parents = false, const StorageOptions& st = {})
       : budget_(memory_limit_bytes),
         st_(st),
         fp_(st.fingerprint != nullptr ? st.fingerprint : &default_fingerprint),
-        track_parents_(track_parents) {
+        track_parents_(track_parents),
+        codec_(budget_, st.spill) {
     const std::size_t expected_states = st.expected_states;
     unsigned n = 1;
     while (n < shard_count && n < kMaxShards) n <<= 1;
@@ -125,7 +127,6 @@ class ShardedStateSet {
       return;
     }
 
-    ConcurrentCollapsedSet::Layout layout;
     std::size_t slots = 1024;
     if (expected_states > 0) {
       const std::size_t per_shard = expected_states / n;
@@ -139,16 +140,13 @@ class ShardedStateSet {
     while (slots > 64 &&
            n * slots * sizeof(std::uint64_t) > memory_limit_bytes / 4)
       slots /= 2;
-    layout.table_slots = slots;
     std::size_t chunk0 = 4096;
     while (chunk0 > 1024 && n * chunk0 > memory_limit_bytes / 4) chunk0 /= 2;
-    layout.table_chunk0 = chunk0;
-    layout.dict_chunk0 = 256;
 
     shards_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
-      shards_.push_back(std::make_unique<ConcurrentCollapsedSet>(
-          budget_, st_, track_parents, structure_, layout));
+      shards_.push_back(std::make_unique<AtomicByteTable<MemoryBudget>>(
+          budget_, slots, chunk0, track_parents, st_.spill));
   }
 
   /// Thread-safe lock-free insert; `parent` is recorded for fresh states
@@ -172,7 +170,22 @@ class ShardedStateSet {
         shard_bits_ == 0 ? 0 : h >> (64 - shard_bits_));
     if (!ext_shards_.empty())
       return insert_external(si, h, parent, state, fresh);
-    auto r = shards_[si]->insert(state, marks, h, parent);
+    AtomicByteTable<MemoryBudget>& table = *shards_[si];
+    auto r = [&]() -> AtomicByteTable<MemoryBudget>::InsertResult {
+      // Hash compaction: `h` IS the fingerprint, so an empty-payload
+      // record gives exact fingerprint-set semantics (tag match, then the
+      // stored full 64-bit hash, then empty==empty payload comparison).
+      if (st_.hash_compact) return table.insert({}, h, parent);
+      if (st_.compress == CompressionMode::Off)
+        return table.insert(state, h, parent);
+      static thread_local ByteSink tuple;
+      tuple.clear();
+      if (!codec_.compress(state, marks, tuple))
+        return {Outcome::Exhausted, 0};
+      return table.insert(tuple.bytes(), hash_bytes(tuple.bytes()), parent);
+    }();
+    if (r.outcome == Outcome::Inserted)
+      raw_bytes_.fetch_add(state.size(), std::memory_order_relaxed);
     return {r.outcome, {si, r.ref}};
   }
 
@@ -220,10 +233,14 @@ class ShardedStateSet {
   }
 
   /// Quiescent-only: bytes of a stored state. Not available under the
-  /// external tier (records live on disk; traces replay by fingerprint).
+  /// external tier or hash compaction (no payload is kept in RAM; traces
+  /// replay by fingerprint).
   [[nodiscard]] std::span<const std::byte> at(Ref r) const {
-    CCREF_REQUIRE(ext_shards_.empty());
-    return shards_[r.shard]->at(r.index);
+    CCREF_REQUIRE(ext_shards_.empty() && !st_.hash_compact);
+    auto stored = shards_[r.shard]->at(r.index);
+    if (st_.compress == CompressionMode::Off) return stored;
+    codec_.expand(stored, scratch_);
+    return scratch_;
   }
 
   /// Quiescent-only: BFS parent recorded at insertion (kNoParent for root).
@@ -231,7 +248,7 @@ class ShardedStateSet {
   [[nodiscard]] std::uint64_t parent_of(Ref r) const {
     if (!ext_shards_.empty()) return ext_shards_[r.shard]->set.parent_at(r.index);
     CCREF_REQUIRE(track_parents_);
-    return shards_[r.shard]->parent_of(r.index);
+    return shards_[r.shard]->parent_at(r.index);
   }
 
   /// Total states across shards (exact whenever no insert is mid-flight).
@@ -251,32 +268,35 @@ class ShardedStateSet {
 
   /// Quiescent-only: summed raw encoding bytes of all stored states.
   [[nodiscard]] std::size_t raw_bytes() const {
-    std::size_t total = 0;
-    for (const auto& sh : shards_) total += sh->raw_bytes();
-    return total;
+    return raw_bytes_.load(std::memory_order_relaxed);
   }
 
-  /// Quiescent-only: bytes actually spent storing states (pools plus
-  /// dictionary footprints) across shards. Under the external tier this
-  /// is the fixed RAM plan (caches + buffers + sort scratch) — the
-  /// records themselves live on disk (external_bytes()).
+  /// Quiescent-only: bytes actually spent storing states — record
+  /// payloads plus the complete dictionary footprint (mirrors
+  /// CollapsedStateSet::stored_bytes). Hash-compact: the tables' full
+  /// charge, since slots plus empty-payload records are exactly the
+  /// fingerprint storage. Under the external tier this is the fixed RAM
+  /// plan (caches + buffers + sort scratch) — the records themselves live
+  /// on disk (external_bytes()).
   [[nodiscard]] std::size_t stored_bytes() const {
-    std::size_t total = 0;
+    std::size_t total = codec_.charged();
     for (const auto& es : ext_shards_) total += es->set.memory_used();
-    for (const auto& sh : shards_) total += sh->stored_bytes();
+    for (const auto& sh : shards_)
+      total += st_.hash_compact ? sh->charged() : sh->payload_bytes();
     return total;
   }
 
-  /// Quiescent-only: bytes held in mmap-backed spill files across shards.
+  /// Quiescent-only: bytes held in mmap-backed spill files (record pools
+  /// plus dictionaries).
   [[nodiscard]] std::size_t spill_bytes() const {
-    std::size_t total = 0;
+    std::size_t total = codec_.spill_bytes();
     for (const auto& sh : shards_) total += sh->spill_bytes();
     return total;
   }
 
   /// Quiescent-only: chunk bytes held but never occupied by records.
   [[nodiscard]] std::size_t waste_bytes() const {
-    std::size_t total = 0;
+    std::size_t total = codec_.waste_bytes();
     for (const auto& sh : shards_) total += sh->waste_bytes();
     return total;
   }
@@ -286,7 +306,7 @@ class ShardedStateSet {
   [[nodiscard]] std::uint64_t hash_of(Ref r) const {
     if (!ext_shards_.empty())
       return ext_shards_[r.shard]->set.fingerprint_at(r.index);
-    return shards_[r.shard]->hash_of(r.index);
+    return shards_[r.shard]->hash_at(r.index);
   }
 
  private:
@@ -350,8 +370,10 @@ class ShardedStateSet {
   FingerprintFn fp_ = &default_fingerprint;
   unsigned shard_bits_ = 0;
   bool track_parents_;
-  CollapseStructure structure_;  // shared across shards (see ctor comment)
-  std::vector<std::unique_ptr<ConcurrentCollapsedSet>> shards_;
+  ComponentCodec codec_;  // Collapse: one dictionary set for all shards
+  std::vector<std::unique_ptr<AtomicByteTable<MemoryBudget>>> shards_;
+  std::atomic<std::size_t> raw_bytes_{0};
+  mutable std::vector<std::byte> scratch_;  // at() expansion buffer
   std::vector<std::unique_ptr<ExtShard>> ext_shards_;  // external tier only
   std::atomic<std::size_t> ext_pending_{0};
   bool ext_ok_ = false;  // meaningful only when ext_shards_ is non-empty

@@ -9,8 +9,8 @@
 // verifications "limited to 64MB of memory": insert() refuses (returns
 // Exhausted) once pool + table + index bytes would exceed the limit, letting
 // the checker report `Unfinished` exactly like the paper does. The budget can
-// be owned (sequential checker, one set) or shared (ShardedStateSet: K shards
-// drawing on one limit).
+// be owned (one set) or shared (CollapsedStateSet: the tuple table, the
+// COLLAPSE dictionaries and the fingerprint tiers drawing on one limit).
 //
 // The pool is a ChunkedBytePool (chunk addresses never move, so at() spans
 // stay valid across inserts), which is what lets a SpillPolicy route chunks
@@ -64,16 +64,15 @@ class StateSet {
     init_table(expected_states, kInitialSlots);
   }
 
-  /// Shard constructor: draw on a budget shared with sibling sets. The
-  /// caller keeps `budget` alive for the set's lifetime. `min_slots` (a
-  /// power of two) lets small auxiliary sets — collapse-compression
-  /// dictionaries — start below the default 1024 slots; `pool_chunk0`
-  /// likewise floors their pool chunks below the 4 KB default.
+  /// Shared-budget constructor: draw on a budget shared with sibling
+  /// structures. The caller keeps `budget` alive for the set's lifetime.
+  /// `min_slots` (a power of two) lets a table that will stay nearly empty
+  /// — the unused tuple table of the fingerprint tiers — start below the
+  /// default 1024 slots.
   explicit StateSet(MemoryBudget& budget, std::size_t expected_states = 0,
                     std::size_t min_slots = kInitialSlots,
-                    SpillPolicy spill = {},
-                    std::size_t pool_chunk0 = kPoolChunk0)
-      : budget_(&budget), pool_(budget, pool_chunk0, spill) {
+                    SpillPolicy spill = {})
+      : budget_(&budget), pool_(budget, kPoolChunk0, spill) {
     init_table(expected_states, min_slots);
   }
 

@@ -264,6 +264,31 @@ TEST(Collapse, CompressesAsyncMigratory) {
       << off.pool_bytes;
 }
 
+TEST(Collapse, ShardsShareOneDictionarySet) {
+  // Indices are global (one ComponentCodec for every shard), so the
+  // parallel engine stores the sequential engine's dictionaries once —
+  // not one copy per shard. Its tuples are the same bytes too; only the
+  // table layouts differ, hence the 10% allowance.
+  struct Case {
+    ir::Protocol p;
+    const char* what;
+  };
+  for (const Case& c : {Case{protocols::make_migratory(), "migratory"},
+                        Case{protocols::make_invalidate(), "invalidate"}}) {
+    auto rp = refine::refine(c.p);
+    AsyncSystem sys(rp, 3);
+    auto seq =
+        check(sys, CompressionMode::Collapse, PorMode::Off, SymmetryMode::Off);
+    auto par = check(sys, CompressionMode::Collapse, PorMode::Off,
+                     SymmetryMode::Off, /*jobs=*/4);
+    ASSERT_EQ(seq.status, verify::Status::Ok) << c.what;
+    ASSERT_EQ(par.status, verify::Status::Ok) << c.what;
+    EXPECT_LE(static_cast<double>(par.pool_bytes),
+              1.10 * static_cast<double>(seq.pool_bytes))
+        << c.what << ": par " << par.pool_bytes << " vs seq " << seq.pool_bytes;
+  }
+}
+
 // ---- traces, liveness, progress under compression --------------------------
 
 TEST(Collapse, TraceIdenticalAcrossModes) {
