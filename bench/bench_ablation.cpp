@@ -12,7 +12,6 @@
 // Livelock is measured exactly: a *doomed* state is a reachable state from
 // which no rendezvous-completing transition is ever reachable again.
 #include <cstdio>
-#include <limits>
 #include <iostream>
 
 #include "protocols/invalidate.hpp"
@@ -23,29 +22,19 @@
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
+#include "support/verify_cli.hpp"
 #include "verify/progress.hpp"
 
 using namespace ccref;
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  std::size_t mem = static_cast<std::size_t>(
-      cli.size_flag("mem", "1G", 1u << 20,
-                    std::numeric_limits<std::uint64_t>::max(),
-                    "state-memory limit, e.g. 64M or 2G"));
+  const VerifyFlags flags = verify_flags(cli, {.mem = "1G", .por = true});
   bool full = cli.bool_flag(
       "full", true, "include the invalidate N=4 rows (~1.2M states each)");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample");
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
-    return 2;
-  }
 
   std::printf(
       "A-ABL: buffer-reservation ablations — doomed states = reachable "
@@ -61,10 +50,8 @@ int main(int argc, char** argv) {
     opts.ack_buffer = ack;
     opts.request_reply_fusion = fusion;
     auto rp = refine::refine(p, opts);
-    verify::ProgressOptions popts;
-    popts.memory_limit = mem;
-    popts.por = *por;
-    auto r = verify::check_progress(runtime::AsyncSystem(rp, n), popts);
+    auto r = verify::check_progress(runtime::AsyncSystem(rp, n),
+                                    flags.progress_options());
     std::string verdict =
         r.status != verify::Status::Ok ? "Unfinished"
         : r.doomed == 0                ? "live"
@@ -80,7 +67,7 @@ int main(int argc, char** argv) {
         .field("engine", "seq")
         .field("jobs", 1)
         .field("symmetry", "off")
-        .field("por", verify::to_string(*por))
+        .field("por", verify::to_string(flags.por))
         .field("progress_buffer", progress)
         .field("ack_buffer", ack)
         .field("fusion", fusion)

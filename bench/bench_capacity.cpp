@@ -35,10 +35,9 @@
 #include "runtime/async_system.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
-#include "support/storage_cli.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
-#include "verify/checker.hpp"
+#include "support/verify_cli.hpp"
 #include "verify/par_checker.hpp"
 
 using namespace ccref;
@@ -71,51 +70,32 @@ std::string cell(const verify::CheckResult& r) {
 }
 
 struct Runner {
-  unsigned jobs = 1;
-  SpillArena* arena = nullptr;  // null: spill rows are skipped
-  const verify::ExternalPolicy* external = nullptr;  // null: external skipped
+  const VerifyFlags& flags;
   Table table{{"Protocol", "N", "Mem", "Symmetry", "Tier",
                "States/s (async)"}};
-  JsonArrayFile json;
+  JsonArrayFile json{};
 
-  verify::CheckResult run(const runtime::AsyncSystem& sys, std::size_t mem,
+  verify::CheckResult row(const char* name, const runtime::AsyncSystem& sys,
+                          int n, std::size_t mem,
                           verify::SymmetryMode symmetry, const Tier& tier) {
-    verify::CheckOptions<runtime::AsyncSystem> opts;
+    auto opts = flags.check_options<runtime::AsyncSystem>();
     opts.memory_limit = mem;
     opts.want_trace = false;
     opts.symmetry = symmetry;
     opts.compress = tier.compress;
     opts.hash_compact = tier.hash_compact;
-    if (tier.spill && arena != nullptr) opts.spill = {arena, mem / 2};
-    if (tier.external && external != nullptr) opts.external = *external;
-    return jobs <= 1 ? verify::explore(sys, opts)
-                     : verify::par_explore(sys, opts, jobs, jobs);
-  }
-
-  verify::CheckResult row(const char* name, const runtime::AsyncSystem& sys,
-                          int n, std::size_t mem,
-                          verify::SymmetryMode symmetry, const Tier& tier) {
-    auto r = run(sys, mem, symmetry, tier);
+    opts.spill = tier.spill ? SpillPolicy{flags.arena.get(), mem / 2}
+                            : SpillPolicy{};
+    if (!tier.external) opts.external = {};
+    auto r = verify::check(sys, opts, flags.jobs);
     JsonObject o;
     o.field("bench", "capacity")
         .field("protocol", name)
         .field("n", n)
         .field("semantics", "asynchronous")
-        .field("engine", jobs <= 1 ? "seq" : "par")
-        .field("jobs", static_cast<int>(jobs))
-        .field("symmetry", verify::to_string(symmetry))
-        .field("tier", tier.name)
         .field("mem_bytes", mem)
-        .field("status", verify::to_string(r.status))
-        .field("states", r.states)
-        .field("transitions", r.transitions)
-        .field("seconds", r.seconds)
-        .field("memory_bytes", r.memory_bytes)
-        .field("spill_bytes", r.spill_bytes)
-        .field("external_bytes", r.external_bytes)
-        .field("merge_passes", r.merge_passes)
-        .field("waste_bytes", r.waste_bytes)
-        .field("omission_probability", r.omission_probability);
+        .field("spill", tier.spill);
+    add_check_fields(o, opts, flags.jobs, r);
     json.push(o);
     table.row({name, strf("%d", n), strf("%zuM", mem >> 20),
                verify::to_string(symmetry), tier.name, cell(r)});
@@ -127,9 +107,8 @@ struct Runner {
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  StorageFlags storage = storage_flags(cli, "64M");
-  auto jobs = static_cast<unsigned>(cli.uint_flag(
-      "jobs", 1, 1, 1024, "worker threads (1 = sequential engine)"));
+  const VerifyFlags flags =
+      verify_flags(cli, {.mem = "64M", .storage = true, .jobs = true});
   bool smoke = cli.bool_flag(
       "smoke", false,
       "CI gate: small configurations, verdict agreement asserted");
@@ -137,19 +116,17 @@ int main(int argc, char** argv) {
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
   // --hash-compact makes no sense here (the sweep runs every tier); the
-  // flag exists because storage_flags declares the uniform block, but a
-  // request for it would silently duplicate the hash-compact rows.
-  if (storage.hash_compact) {
+  // flag exists because verify_flags declares the uniform storage block,
+  // but a request for it would silently duplicate the hash-compact rows.
+  if (flags.hash_compact) {
     std::fprintf(stderr,
                  "--hash-compact is implied by the tier sweep; drop it\n");
     return 2;
   }
 
-  const std::size_t mem = storage.memory_limit;
-  Runner runner;
-  runner.jobs = jobs;
-  runner.arena = storage.arena.get();
-  if (storage.external.enabled()) runner.external = &storage.external;
+  const std::size_t mem = flags.memory_limit;
+  const unsigned jobs = flags.jobs;
+  Runner runner{flags};
 
   auto migratory = protocols::make_migratory();
   auto invalidate = protocols::make_invalidate();
@@ -157,8 +134,8 @@ int main(int argc, char** argv) {
   auto rp_inv = refine::refine(invalidate);
 
   std::vector<Tier> tiers{kFull, kCollapse, kHashCompact};
-  if (storage.arena) tiers.push_back(kSpill);
-  if (runner.external) tiers.push_back(kExternal);
+  if (flags.arena) tiers.push_back(kSpill);
+  if (flags.external.enabled()) tiers.push_back(kExternal);
 
   if (smoke) {
     // CI: one walled budget per protocol, every tier, counts checked
@@ -201,8 +178,8 @@ int main(int argc, char** argv) {
     if (!ok) return 1;
     std::printf("\ncapacity gate passed: hash-compact%s%s finished the "
                 "walled runs with reference-exact counts\n",
-                storage.arena ? " and spill" : "",
-                runner.external ? " and external" : "");
+                flags.arena ? " and spill" : "",
+                flags.external.enabled() ? " and external" : "");
     return 0;
   }
 

@@ -21,7 +21,6 @@
 // memory) under the same 64 MB default cap as Table 3; counterexamples are
 // concrete stem+cycle traces (printed with --traces).
 #include <cstdio>
-#include <limits>
 #include <iostream>
 
 #include "ltl/check.hpp"
@@ -34,6 +33,7 @@
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
+#include "support/verify_cli.hpp"
 
 using namespace ccref;
 
@@ -50,9 +50,7 @@ std::string cell(const verify::LivenessResult& r) {
 }
 
 struct Runner {
-  std::size_t mem;
-  verify::SymmetryMode symmetry;
-  verify::PorMode por;
+  const VerifyFlags& flags;
   bool traces;
   Table table{{"Protocol", "N", "k", "Semantics", "Property", "Fairness",
                "Result (states/s)"}};
@@ -62,11 +60,8 @@ struct Runner {
   void run(const Sys& sys, const char* protocol, int n, int k,
            const char* semantics, const char* property,
            verify::FairnessMode fairness) {
-    verify::LivenessOptions opts;
-    opts.memory_limit = mem;
-    opts.symmetry = symmetry;
+    verify::LivenessOptions opts = flags.liveness_options();
     opts.fairness = fairness;
-    opts.por = por;
     auto r = ltl::check_ltl(sys, property, opts);
 
     JsonObject o;
@@ -107,40 +102,21 @@ struct Runner {
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  std::size_t mem = static_cast<std::size_t>(
-      cli.size_flag("mem", "64M", 1u << 20,
-                    std::numeric_limits<std::uint64_t>::max(),
-                    "state-memory limit, e.g. 64M or 2G"));
+  const VerifyFlags flags =
+      verify_flags(cli, {.mem = "64M", .symmetry = true, .por = true});
   bool smoke = cli.bool_flag("smoke", false,
                              "small configurations only (CI-sized)");
   bool traces =
       cli.bool_flag("traces", false, "print counterexample lassos");
-  std::string sym_arg = cli.str_flag(
-      "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample "
-      "(downgraded under fairness)");
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
-  auto symmetry = verify::parse_symmetry(sym_arg);
-  if (!symmetry) {
-    std::fprintf(stderr, "bad --symmetry value '%s' (off | canonical)\n",
-                 sym_arg.c_str());
-    return 2;
-  }
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
-    return 2;
-  }
 
   std::printf("LIVE: LTL liveness over the Büchi product "
               "(%zu MB cap%s)\n\n",
-              mem >> 20, smoke ? ", smoke" : "");
+              flags.memory_limit >> 20, smoke ? ", smoke" : "");
 
-  Runner runner{mem, *symmetry, *por, traces};
+  Runner runner{flags, traces};
 
   auto sweep = [&](const char* name, const ir::Protocol& p) {
     // §2.5 weak progress at the paper's minimal buffer.

@@ -16,10 +16,11 @@
 // jobs=J (only meaningful on a machine with >= J hardware threads).
 #include <algorithm>
 #include <cstdio>
-#include <limits>
+#include <initializer_list>
 #include <iostream>
-#include <map>
+#include <limits>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "protocols/invalidate.hpp"
@@ -31,7 +32,7 @@
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
-#include "verify/checker.hpp"
+#include "support/verify_cli.hpp"
 #include "verify/par_checker.hpp"
 
 using namespace ccref;
@@ -42,8 +43,7 @@ double states_per_sec(const verify::CheckResult& r) {
   return r.seconds > 0 ? static_cast<double>(r.states) / r.seconds : 0.0;
 }
 
-int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned shards,
-              std::size_t expect_states, unsigned assert_jobs,
+int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned assert_jobs,
               double assert_speedup, const std::string& assert_protocol,
               const std::string& json_path) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -80,9 +80,7 @@ int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned shards,
         opts.memory_limit = as_mem;
         opts.want_trace = false;
         opts.compress = compress;
-        opts.expected_states = expect_states;
-        auto r = jobs <= 1 ? verify::explore(sys, opts)
-                           : verify::par_explore(sys, opts, jobs, shards);
+        auto r = verify::check(sys, opts, jobs);
         if (jobs == 1) base_seconds = r.seconds;
         const double speedup =
             r.seconds > 0 ? base_seconds / r.seconds : 0.0;
@@ -95,20 +93,10 @@ int run_sweep(std::size_t as_mem, unsigned sweep_n, unsigned shards,
             .field("protocol", cfg.name)
             .field("semantics", "asynchronous")
             .field("n", static_cast<int>(sweep_n))
-            .field("engine", jobs <= 1 ? "seq" : "par")
-            .field("jobs", static_cast<int>(jobs))
-            .field("shards", static_cast<int>(shards == 0 ? jobs : shards))
             .field("hardware_concurrency", static_cast<int>(hw))
-            .field("compress", verify::to_string(compress))
-            .field("status", verify::to_string(r.status))
-            .field("states", r.states)
-            .field("transitions", r.transitions)
-            .field("seconds", r.seconds)
             .field("states_per_sec", states_per_sec(r))
-            .field("speedup_vs_1", speedup)
-            .field("memory_bytes", r.memory_bytes)
-            .field("spill_bytes", r.spill_bytes)
-            .field("external_bytes", r.external_bytes);
+            .field("speedup_vs_1", speedup);
+        add_check_fields(o, opts, jobs, r);
         json.push(o);
         const bool gated =
             assert_protocol.empty() || assert_protocol == cfg.name;
@@ -146,20 +134,8 @@ int main(int argc, char** argv) {
       cli.size_flag("async-mem", "64M", 1u << 20,
                     std::numeric_limits<std::uint64_t>::max(),
                     "asynchronous state-memory limit, e.g. 64M or 2G"));
-  auto jobs = static_cast<unsigned>(cli.uint_flag(
-      "jobs", 1, 1, 1024, "worker threads (1 = sequential engine)"));
-  auto shards = static_cast<unsigned>(cli.uint_flag(
-      "shards", 0, 0, 256,
-      "visited-set shards for the parallel engine (0: match jobs)"));
-  std::string sym_arg = cli.str_flag(
-      "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample");
-  std::string compress_arg = cli.str_flag(
-      "compress", "off", "state-vector compression: off | collapse");
-  auto expect_states = static_cast<std::size_t>(cli.uint_flag(
-      "expect-states", 0, 0, 1u << 31,
-      "pre-size the visited set for this many states (0: grow on demand)"));
+  const VerifyFlags flags = verify_flags(
+      cli, {.jobs = true, .symmetry = true, .por = true, .compress = true});
   bool sweep = cli.bool_flag(
       "sweep", false,
       "run the parallel scaling sweep (jobs x compression) instead");
@@ -178,28 +154,11 @@ int main(int argc, char** argv) {
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
-  auto symmetry = verify::parse_symmetry(sym_arg);
-  if (!symmetry) {
-    std::fprintf(stderr, "bad --symmetry value '%s' (off | canonical)\n",
-                 sym_arg.c_str());
-    return 2;
-  }
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
-    return 2;
-  }
-  auto compress = verify::parse_compression(compress_arg);
-  if (!compress) {
-    std::fprintf(stderr, "bad --compress value '%s' (off | collapse)\n",
-                 compress_arg.c_str());
-    return 2;
-  }
+  const unsigned jobs = flags.jobs;
 
   if (sweep)
-    return run_sweep(as_mem, sweep_n, shards, expect_states, assert_jobs,
-                     assert_speedup, assert_protocol, json_path);
+    return run_sweep(as_mem, sweep_n, assert_jobs, assert_speedup,
+                     assert_protocol, json_path);
 
   auto p = protocols::make_migratory();
   auto rp = refine::refine(p);
@@ -208,68 +167,35 @@ int main(int argc, char** argv) {
   Table table({"Semantics", "N", "Status", "States", "Time (s)", "Memory"});
   JsonArrayFile json;
 
-  auto record = [&](const char* semantics, int n,
-                    const verify::CheckResult& r) {
-    JsonObject o;
-    o.field("bench", "scaling")
-        .field("protocol", "Migratory")
-        .field("n", n)
-        .field("semantics", semantics)
-        .field("engine", jobs <= 1 ? "seq" : "par")
-        .field("jobs", static_cast<int>(jobs))
-        .field("symmetry", verify::to_string(*symmetry))
-        .field("por", verify::to_string(*por))
-        .field("compress", verify::to_string(*compress))
-        .field("status", verify::to_string(r.status))
-        .field("states", r.states)
-        .field("transitions", r.transitions)
-        .field("seconds", r.seconds)
-        .field("states_per_sec", states_per_sec(r))
-        .field("memory_bytes", r.memory_bytes)
-        .field("pool_bytes", r.pool_bytes)
-        .field("raw_pool_bytes", r.raw_pool_bytes)
-        .field("spill_bytes", r.spill_bytes)
-        .field("external_bytes", r.external_bytes);
-    json.push(o);
+  // Sweep N under one semantics until a run stops being Ok; one table and
+  // JSON row per run.
+  auto sweep_n_of = [&](const auto& make_sys, const char* semantics,
+                        std::size_t mem, std::initializer_list<int> ns) {
+    for (int n : ns) {
+      const auto sys = make_sys(n);
+      auto opts = flags.check_options<std::decay_t<decltype(sys)>>();
+      opts.memory_limit = mem;
+      opts.want_trace = false;
+      auto r = verify::check(sys, opts, jobs);
+      table.row({strf("%s (%s)", semantics, human_bytes(mem).c_str()),
+                 strf("%d", n), verify::to_string(r.status),
+                 strf("%zu", r.states), strf("%.2f", r.seconds),
+                 human_bytes(r.memory_bytes)});
+      JsonObject o;
+      o.field("bench", "scaling")
+          .field("protocol", "Migratory")
+          .field("n", n)
+          .field("semantics", semantics)
+          .field("states_per_sec", states_per_sec(r));
+      add_check_fields(o, opts, jobs, r);
+      json.push(o);
+      if (r.status != verify::Status::Ok) break;
+    }
   };
-
-  for (int n : {2, 4, 8, 16, 32, 64}) {
-    verify::CheckOptions<sem::RendezvousSystem> opts;
-    opts.memory_limit = rv_mem;
-    opts.want_trace = false;
-    opts.symmetry = *symmetry;
-    opts.por = *por;
-    opts.compress = *compress;
-    opts.expected_states = expect_states;
-    sem::RendezvousSystem sys(p, n);
-    auto r = jobs <= 1 ? verify::explore(sys, opts)
-                       : verify::par_explore(sys, opts, jobs, shards);
-    table.row({strf("rendezvous (%s)", human_bytes(rv_mem).c_str()),
-               strf("%d", n),
-               verify::to_string(r.status), strf("%zu", r.states),
-               strf("%.2f", r.seconds), human_bytes(r.memory_bytes)});
-    record("rendezvous", n, r);
-    if (r.status != verify::Status::Ok) break;
-  }
-
-  for (int n : {2, 3, 4, 5, 6, 8}) {
-    verify::CheckOptions<runtime::AsyncSystem> opts;
-    opts.memory_limit = as_mem;
-    opts.want_trace = false;
-    opts.symmetry = *symmetry;
-    opts.por = *por;
-    opts.compress = *compress;
-    opts.expected_states = expect_states;
-    runtime::AsyncSystem sys(rp, n);
-    auto r = jobs <= 1 ? verify::explore(sys, opts)
-                       : verify::par_explore(sys, opts, jobs, shards);
-    table.row({strf("asynchronous (%s)", human_bytes(as_mem).c_str()),
-               strf("%d", n),
-               verify::to_string(r.status), strf("%zu", r.states),
-               strf("%.2f", r.seconds), human_bytes(r.memory_bytes)});
-    record("asynchronous", n, r);
-    if (r.status != verify::Status::Ok) break;
-  }
+  sweep_n_of([&](int n) { return sem::RendezvousSystem(p, n); }, "rendezvous",
+             rv_mem, {2, 4, 8, 16, 32, 64});
+  sweep_n_of([&](int n) { return runtime::AsyncSystem(rp, n); },
+             "asynchronous", as_mem, {2, 3, 4, 5, 6, 8});
 
   table.print(std::cout);
   std::printf(

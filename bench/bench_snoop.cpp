@@ -17,7 +17,6 @@
 // any mismatch — wired into CI.
 //
 //   ./bench_snoop --json=BENCH_snoop.json
-#include <chrono>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -32,7 +31,7 @@
 #include "support/json.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
-#include "verify/checker.hpp"
+#include "support/verify_cli.hpp"
 #include "verify/par_checker.hpp"
 
 using namespace ccref;
@@ -41,32 +40,18 @@ namespace {
 
 using runtime::AsyncSystem;
 using sem::RendezvousSystem;
-using verify::CompressionMode;
-using verify::PorMode;
 using verify::Status;
 using verify::SymmetryMode;
 
-struct VerifyRun {
-  verify::CheckResult result;
-  double seconds = 0;
-};
-
 template <class Sys, class Inv>
-VerifyRun run_check(const Sys& sys, Inv inv, SymmetryMode symmetry,
-                    unsigned jobs, std::size_t memory_limit) {
+verify::CheckOptions<Sys> invariant_options(Inv inv, SymmetryMode symmetry,
+                                            std::size_t memory_limit) {
   verify::CheckOptions<Sys> opts;
   opts.want_trace = false;
   opts.symmetry = symmetry;
   opts.invariant = std::move(inv);
   opts.memory_limit = memory_limit;
-  VerifyRun r;
-  const auto t0 = std::chrono::steady_clock::now();
-  r.result = jobs <= 1 ? verify::explore(sys, opts)
-                       : verify::par_explore(sys, opts, jobs);
-  r.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return r;
+  return opts;
 }
 
 // ---- smoke gate ---------------------------------------------------------
@@ -85,17 +70,21 @@ int smoke() {
   for (const auto& [name, p] : protocols::make_snoop_family()) {
     // Abstract broadcast level, n = 2, canonical symmetry.
     RendezvousSystem rv(p, 2);
-    auto a = run_check(rv, protocols::snoop_invariant(p, 2),
-                       SymmetryMode::Canonical, 1, limit);
-    SMOKE_CHECK(a.result.status == Status::Ok);
-    SMOKE_CHECK(a.result.states > 1);
+    auto a = verify::explore(
+        rv, invariant_options<RendezvousSystem>(
+                protocols::snoop_invariant(p, 2), SymmetryMode::Canonical,
+                limit));
+    SMOKE_CHECK(a.status == Status::Ok);
+    SMOKE_CHECK(a.states > 1);
     // Refined split-transaction bus, n = 2.
     auto rp = refine::refine(p);
     AsyncSystem as(rp, 2);
-    auto r = run_check(as, protocols::snoop_async_invariant(p, 2),
-                       SymmetryMode::Canonical, 1, limit);
-    SMOKE_CHECK(r.result.status == Status::Ok);
-    SMOKE_CHECK(r.result.states > a.result.states);
+    auto r = verify::explore(
+        as, invariant_options<AsyncSystem>(
+                protocols::snoop_async_invariant(p, 2),
+                SymmetryMode::Canonical, limit));
+    SMOKE_CHECK(r.status == Status::Ok);
+    SMOKE_CHECK(r.states > a.states);
   }
   // Deterministic traffic: same seed, same counters, run finishes.
   auto p = protocols::make_mesi();
@@ -156,43 +145,38 @@ int main(int argc, char** argv) {
                  {"abstract", 4, SymmetryMode::Canonical},
                  {"refined", 1, SymmetryMode::Canonical},
                  {"refined", 4, SymmetryMode::Canonical}};
-    for (const auto& c : cells) {
-      VerifyRun r;
-      if (std::string_view(c.level) == "abstract")
-        r = run_check(rv, protocols::snoop_invariant(p, 3), c.sym, c.jobs,
-                      limit);
-      else
-        r = run_check(as, protocols::snoop_async_invariant(p, 2), c.sym,
-                      c.jobs, limit);
-      if (r.result.status != Status::Ok) {
+    // One table and JSON row per engine-matrix cell.
+    auto run = [&](const auto& sys, auto opts, const auto& c, int n) {
+      auto r = verify::check(sys, opts, c.jobs);
+      if (r.status != Status::Ok) {
         std::fprintf(stderr, "%s %s: %s\n", name.c_str(), c.level,
-                     r.result.violation.c_str());
-        return 1;
+                     r.violation.c_str());
+        return false;
       }
-      const char* engine = c.jobs > 1 ? "par_explore" : "explore";
-      const char* sym =
-          c.sym == SymmetryMode::Canonical ? "canonical" : "off";
-      ver.row({name, c.level, engine, strf("%u", c.jobs), sym,
-               strf("%llu", static_cast<unsigned long long>(r.result.states)),
-               strf("%llu",
-                    static_cast<unsigned long long>(r.result.transitions)),
-               strf("%.2f", r.seconds)});
+      ver.row({name, c.level, c.jobs > 1 ? "par" : "seq", strf("%u", c.jobs),
+               verify::to_string(c.sym), strf("%zu", r.states),
+               strf("%zu", r.transitions), strf("%.2f", r.seconds)});
       JsonObject o;
       o.field("section", "verify")
           .field("protocol", name)
           .field("level", c.level)
-          .field("engine", engine)
-          .field("jobs", c.jobs)
-          .field("symmetry", sym)
-          .field("por", "off")
-          .field("n", std::string_view(c.level) == "abstract" ? 3 : 2)
-          .field("status", "ok")
-          .field("states", r.result.states)
-          .field("transitions", r.result.transitions)
-          .field("seconds", r.seconds)
-          .field("spill_bytes", r.result.spill_bytes)
-          .field("external_bytes", r.result.external_bytes);
+          .field("n", n);
+      add_check_fields(o, opts, c.jobs, r);
       json.push(o);
+      return true;
+    };
+    for (const auto& c : cells) {
+      const bool ok =
+          std::string_view(c.level) == "abstract"
+              ? run(rv,
+                    invariant_options<RendezvousSystem>(
+                        protocols::snoop_invariant(p, 3), c.sym, limit),
+                    c, 3)
+              : run(as,
+                    invariant_options<AsyncSystem>(
+                        protocols::snoop_async_invariant(p, 2), c.sym, limit),
+                    c, 2);
+      if (!ok) return 1;
     }
   }
   ver.print(std::cout);

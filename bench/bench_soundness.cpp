@@ -19,17 +19,17 @@
 #include "sem/rendezvous.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
-#include "support/storage_cli.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
+#include "support/verify_cli.hpp"
 #include "verify/checker.hpp"
 
 using namespace ccref;
 
 int main(int argc, char** argv) {
   Cli cli(argc, argv);
-  StorageFlags storage = storage_flags(cli, "512M");
-  std::size_t mem = storage.memory_limit;
+  const VerifyFlags flags =
+      verify_flags(cli, {.mem = "512M", .storage = true});
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
@@ -47,11 +47,7 @@ int main(int argc, char** argv) {
     auto simrel = refine::make_simulation_checker(sys, rv);
 
     std::size_t stutters = 0, steps = 0, violations = 0;
-    verify::CheckOptions<runtime::AsyncSystem> copts;
-    copts.memory_limit = mem;
-    copts.hash_compact = storage.hash_compact;
-    copts.spill = storage.spill;
-    copts.external = storage.external;
+    auto copts = flags.check_options<runtime::AsyncSystem>();
     copts.want_trace = false;
     copts.edge_check = [&](const runtime::AsyncState& a,
                            const runtime::AsyncState& b,
@@ -69,6 +65,7 @@ int main(int argc, char** argv) {
       if (!msg.empty()) ++violations;
       return "";  // count violations instead of aborting the sweep
     };
+    // The edge check counts into plain locals: sequential engine only.
     auto r = verify::explore(sys, copts);
     table.row({name, variant, strf("%d", n),
                r.status == verify::Status::Ok ? strf("%zu", r.states)
@@ -81,23 +78,10 @@ int main(int argc, char** argv) {
         .field("variant", variant)
         .field("n", n)
         .field("semantics", "asynchronous")
-        .field("engine", "seq")
-        .field("jobs", 1)
-        .field("symmetry", "off")
-        // Every edge runs through the Equation-1 edge_check, which the
-        // engines cannot reconcile with an ample-set reduction (explore()
-        // would downgrade it anyway), so this bench is always por=off.
-        .field("por", "off")
-        .field("status", verify::to_string(r.status))
-        .field("states", r.states)
-        .field("transitions", r.transitions)
         .field("stutters", stutters)
         .field("rendezvous_steps", steps)
-        .field("violations", violations)
-        .field("seconds", r.seconds)
-        .field("memory_bytes", r.memory_bytes)
-        .field("spill_bytes", r.spill_bytes)
-        .field("external_bytes", r.external_bytes);
+        .field("violations", violations);
+    add_check_fields(o, copts, 1, r);
     json.push(o);
   };
 

@@ -18,10 +18,8 @@
 #include "runtime/async_system.hpp"
 #include "sem/rendezvous.hpp"
 #include "support/cli.hpp"
-#include "support/storage_cli.hpp"
-#include "verify/checker.hpp"
+#include "support/verify_cli.hpp"
 #include "verify/par_checker.hpp"
-#include "verify/progress.hpp"
 
 using namespace ccref;
 
@@ -63,49 +61,17 @@ int main(int argc, char** argv) {
   Cli cli(argc, argv);
   int n = static_cast<int>(
       cli.uint_flag("remotes", 2, 1, 64, "number of remotes"));
-  StorageFlags storage = storage_flags(cli, "64M");
-  auto jobs = static_cast<unsigned>(cli.uint_flag(
-      "jobs", 1, 1, 1024,
-      "verification worker threads (1 = sequential engine)"));
-  auto shards = static_cast<unsigned>(cli.uint_flag(
-      "shards", 0, 0, 256,
-      "visited-set shards for the parallel engine (0: match jobs)"));
-  std::string sym_arg = cli.str_flag(
-      "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample");
+  const VerifyFlags flags = verify_flags(cli, {.mem = "64M",
+                                                .storage = true,
+                                                .jobs = true,
+                                                .symmetry = true,
+                                                .por = true,
+                                                .compress = true,
+                                                .fairness = true});
   std::string ltl_text = cli.str_flag(
       "ltl", "", "LTL property to check on the asynchronous system, "
                  "e.g. \"G F completion\"");
-  std::string fair_arg = cli.str_flag(
-      "fairness", "weak", "fairness for --ltl: none | weak | strong");
-  std::string compress_arg = cli.str_flag(
-      "compress", "off", "state-vector compression: off | collapse");
   cli.finish();
-  auto symmetry = verify::parse_symmetry(sym_arg);
-  if (!symmetry) {
-    std::fprintf(stderr, "bad --symmetry value '%s' (off | canonical)\n",
-                 sym_arg.c_str());
-    return 2;
-  }
-  auto compress = verify::parse_compression(compress_arg);
-  if (!compress) {
-    std::fprintf(stderr, "bad --compress value '%s' (off | collapse)\n",
-                 compress_arg.c_str());
-    return 2;
-  }
-  auto fairness = verify::parse_fairness(fair_arg);
-  if (!fairness) {
-    std::fprintf(stderr, "bad --fairness value '%s' (none | weak | strong)\n",
-                 fair_arg.c_str());
-    return 2;
-  }
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
-    return 2;
-  }
 
   dsl::ParseResult parsed =
       cli.positional().empty() ? dsl::parse(kBundledTicket)
@@ -129,15 +95,8 @@ int main(int argc, char** argv) {
     std::printf("warnings:\n%s\n", ir::to_string(diags).c_str());
 
   sem::RendezvousSystem rendezvous(p, n);
-  verify::CheckOptions<sem::RendezvousSystem> rv_opts;
-  rv_opts.memory_limit = storage.memory_limit;
-  rv_opts.hash_compact = storage.hash_compact;
-  rv_opts.spill = storage.spill;
-  rv_opts.external = storage.external;
-  rv_opts.symmetry = *symmetry;
-  rv_opts.compress = *compress;
-  auto rv = jobs <= 1 ? verify::explore(rendezvous, rv_opts)
-                      : verify::par_explore(rendezvous, rv_opts, jobs, shards);
+  auto rv = verify::check(
+      rendezvous, flags.check_options<sem::RendezvousSystem>(), flags.jobs);
   std::printf("rendezvous (%d remotes): %s, %zu states (%.3fs)\n", n,
               verify::to_string(rv.status), rv.states, rv.seconds);
   if (rv.status != verify::Status::Ok) {
@@ -163,16 +122,9 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  verify::CheckOptions<runtime::AsyncSystem> opts;
-  opts.memory_limit = storage.memory_limit;
-  opts.hash_compact = storage.hash_compact;
-  opts.spill = storage.spill;
-  opts.external = storage.external;
-  opts.symmetry = *symmetry;
   // The Equation-1 edge check must see every edge, so the engine downgrades
   // --por ample here and says so in the note.
-  opts.por = *por;
-  opts.compress = *compress;
+  auto opts = flags.check_options<runtime::AsyncSystem>();
   // The Equation-1 simulation proof only exists for star protocols: no
   // single rendezvous prefix corresponds to a mid-flight bus transaction
   // (DESIGN.md §4.9). Bus protocols get invariant/progress checks on both
@@ -182,8 +134,7 @@ int main(int argc, char** argv) {
   else
     std::printf("topology bus: skipping the Equation-1 edge check "
                 "(star-only; both levels are invariant-checked)\n");
-  auto as = jobs <= 1 ? verify::explore(async, opts)
-                      : verify::par_explore(async, opts, jobs, shards);
+  auto as = verify::check(async, opts, flags.jobs);
   std::printf("asynchronous (%d remotes): %s, %zu states (%.3fs)\n", n,
               verify::to_string(as.status), as.states, as.seconds);
   if (!as.note.empty()) std::printf("  note: %s\n", as.note.c_str());
@@ -193,24 +144,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  verify::ProgressOptions prog_opts;
-  prog_opts.por = *por;
-  prog_opts.compress = *compress;
-  auto prog = verify::check_progress(async, prog_opts);
+  auto prog = verify::check_progress(async, flags.progress_options());
   std::printf("progress: %zu/%zu states can always complete another "
               "rendezvous%s\n",
               prog.states - prog.doomed, prog.states,
               prog.doomed ? "  <-- LIVELOCK" : "");
 
   if (!ltl_text.empty()) {
-    verify::LivenessOptions lopts;
-    lopts.fairness = *fairness;
-    lopts.symmetry = *symmetry;
-    lopts.por = *por;
-    lopts.compress = *compress;
-    auto live = ltl::check_ltl(async, ltl_text, lopts);
+    auto live = ltl::check_ltl(async, ltl_text, flags.liveness_options());
     std::printf("ltl %s under %s fairness: %s, %zu product states (%.3fs)\n",
-                ltl_text.c_str(), verify::to_string(*fairness),
+                ltl_text.c_str(), verify::to_string(flags.fairness),
                 verify::to_string(live.status), live.states, live.seconds);
     if (!live.note.empty()) std::printf("  note: %s\n", live.note.c_str());
     if (live.status != verify::Status::Ok) {

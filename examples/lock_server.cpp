@@ -16,12 +16,10 @@
 #include "sem/rendezvous.hpp"
 #include "sim/simulator.hpp"
 #include "support/cli.hpp"
-#include "support/storage_cli.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
-#include "verify/checker.hpp"
+#include "support/verify_cli.hpp"
 #include "verify/par_checker.hpp"
-#include "verify/progress.hpp"
 
 using namespace ccref;
 
@@ -31,49 +29,17 @@ int main(int argc, char** argv) {
       cli.uint_flag("clients", 6, 1, 64, "number of clients"));
   int locks = static_cast<int>(cli.uint_flag(
       "acquisitions", 50, 1, 1u << 20, "lock/unlock pairs per client"));
-  StorageFlags storage = storage_flags(cli, "512M");
-  auto jobs = static_cast<unsigned>(cli.uint_flag(
-      "jobs", 1, 1, 1024,
-      "verification worker threads (1 = sequential engine)"));
-  auto shards = static_cast<unsigned>(cli.uint_flag(
-      "shards", 0, 0, 256,
-      "visited-set shards for the parallel engine (0: match jobs)"));
-  std::string sym_arg = cli.str_flag(
-      "symmetry", "off", "symmetry reduction: off | canonical");
-  std::string por_arg = cli.str_flag(
-      "por", "off", "partial-order reduction: off | ample");
+  const VerifyFlags flags = verify_flags(cli, {.mem = "512M",
+                                                .storage = true,
+                                                .jobs = true,
+                                                .symmetry = true,
+                                                .por = true,
+                                                .compress = true,
+                                                .fairness = true});
   std::string ltl_text = cli.str_flag(
       "ltl", "", "LTL property to check on the asynchronous system, "
                  "e.g. \"G (requested(0) -> F granted(0))\"");
-  std::string fair_arg = cli.str_flag(
-      "fairness", "weak", "fairness for --ltl: none | weak | strong");
-  std::string compress_arg = cli.str_flag(
-      "compress", "off", "state-vector compression: off | collapse");
   cli.finish();
-  auto symmetry = verify::parse_symmetry(sym_arg);
-  if (!symmetry) {
-    std::fprintf(stderr, "bad --symmetry value '%s' (off | canonical)\n",
-                 sym_arg.c_str());
-    return 2;
-  }
-  auto compress = verify::parse_compression(compress_arg);
-  if (!compress) {
-    std::fprintf(stderr, "bad --compress value '%s' (off | collapse)\n",
-                 compress_arg.c_str());
-    return 2;
-  }
-  auto fairness = verify::parse_fairness(fair_arg);
-  if (!fairness) {
-    std::fprintf(stderr, "bad --fairness value '%s' (none | weak | strong)\n",
-                 fair_arg.c_str());
-    return 2;
-  }
-  auto por = verify::parse_por(por_arg);
-  if (!por) {
-    std::fprintf(stderr, "bad --por value '%s' (off | ample)\n",
-                 por_arg.c_str());
-    return 2;
-  }
 
   auto p = protocols::make_lock_server();
 
@@ -81,16 +47,9 @@ int main(int argc, char** argv) {
   const int check_n = std::min(n, 3);
   sem::RendezvousSystem rendezvous(p, check_n);
   auto refined = refine::refine(p);
-  verify::CheckOptions<sem::RendezvousSystem> rv_opts;
-  rv_opts.memory_limit = storage.memory_limit;
-  rv_opts.hash_compact = storage.hash_compact;
-  rv_opts.spill = storage.spill;
-  rv_opts.external = storage.external;
-  rv_opts.symmetry = *symmetry;
-  rv_opts.compress = *compress;
+  auto rv_opts = flags.check_options<sem::RendezvousSystem>();
   rv_opts.invariant = protocols::lock_server_invariant(p, check_n);
-  auto rv = jobs <= 1 ? verify::explore(rendezvous, rv_opts)
-                      : verify::par_explore(rendezvous, rv_opts, jobs, shards);
+  auto rv = verify::check(rendezvous, rv_opts, flags.jobs);
   std::printf("rendezvous mutual exclusion (%d clients): %s (%zu states)\n",
               check_n, verify::to_string(rv.status), rv.states);
 
@@ -104,42 +63,26 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  verify::CheckOptions<runtime::AsyncSystem> as_opts;
-  as_opts.memory_limit = storage.memory_limit;
-  as_opts.hash_compact = storage.hash_compact;
-  as_opts.spill = storage.spill;
-  as_opts.external = storage.external;
-  as_opts.symmetry = *symmetry;
   // Invariant + edge check force the engine to see every state and edge,
   // so --por ample is downgraded here (the note says so); the progress
   // and LTL checks below still honor it.
-  as_opts.por = *por;
-  as_opts.compress = *compress;
+  auto as_opts = flags.check_options<runtime::AsyncSystem>();
   as_opts.invariant = protocols::lock_server_async_invariant(p, check_n);
   as_opts.edge_check = refine::make_simulation_checker(async, rendezvous);
-  auto as = jobs <= 1 ? verify::explore(async, as_opts)
-                      : verify::par_explore(async, as_opts, jobs, shards);
+  auto as = verify::check(async, as_opts, flags.jobs);
   std::printf("asynchronous + Equation 1 (%d clients): %s (%zu states)\n",
               check_n, verify::to_string(as.status), as.states);
   if (!as.note.empty()) std::printf("  note: %s\n", as.note.c_str());
-  verify::ProgressOptions prog_opts;
-  prog_opts.por = *por;
-  prog_opts.compress = *compress;
-  auto prog = verify::check_progress(async, prog_opts);
+  auto prog = verify::check_progress(async, flags.progress_options());
   std::printf("forward progress: %zu doomed states\n", prog.doomed);
   if (rv.status != verify::Status::Ok || as.status != verify::Status::Ok ||
       prog.doomed != 0)
     return 1;
 
   if (!ltl_text.empty()) {
-    verify::LivenessOptions lopts;
-    lopts.fairness = *fairness;
-    lopts.symmetry = *symmetry;
-    lopts.por = *por;
-    lopts.compress = *compress;
-    auto live = ltl::check_ltl(async, ltl_text, lopts);
+    auto live = ltl::check_ltl(async, ltl_text, flags.liveness_options());
     std::printf("ltl %s under %s fairness: %s, %zu product states\n",
-                ltl_text.c_str(), verify::to_string(*fairness),
+                ltl_text.c_str(), verify::to_string(flags.fairness),
                 verify::to_string(live.status), live.states);
     if (!live.note.empty()) std::printf("  note: %s\n", live.note.c_str());
     if (live.status != verify::Status::Ok) {

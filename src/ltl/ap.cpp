@@ -84,13 +84,15 @@ bool check_remote_index(const Atom& a, int i, int n, std::string& error) {
   return true;
 }
 
-}  // namespace
-
-BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
-                                    const std::vector<Atom>& atoms) {
-  BoundAtoms<sem::RvState> out;
-  const ir::Protocol& p = sys.protocol();
-  const int n = sys.num_remotes();
+/// The binder both semantics share. They differ in two readings only:
+/// `requested(s, i)` (remote i has an outstanding request) and
+/// `buffer_size(s)` (home request-buffer occupancy); control states are the
+/// same fields at both levels.
+template <class State, class Requested, class BufferSize>
+BoundAtoms<State> bind_all(const ir::Protocol& p, int n,
+                           const std::vector<Atom>& atoms,
+                           Requested requested, BufferSize buffer_size) {
+  BoundAtoms<State> out;
   for (const Atom& a : atoms) {
     std::string error;
     if (bind_event_atom(a, out, error)) {
@@ -101,19 +103,11 @@ BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
       continue;
     }
     if (a.name == "requested") {
-      // A rendezvous-level remote "has an outstanding request" while it sits
-      // in an active communication state (its single output guard is the
-      // pending request; §2.4).
-      auto active = [&p](const sem::RvState& s, int i) {
-        return ir::Process::is_active_state(
-            p.remote.state(s.remotes[i].state));
-      };
       if (a.args.empty()) {
         out.visible_remotes = ~0ull;
-        out.eval.push_back([active, n](const sem::RvState& s,
-                                       const sem::Label&) {
+        out.eval.push_back([requested, n](const State& s, const sem::Label&) {
           for (int i = 0; i < n; ++i)
-            if (active(s, i)) return true;
+            if (requested(s, i)) return true;
           return false;
         });
         continue;
@@ -126,9 +120,8 @@ BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
       if (!check_remote_index(a, i, n, out.error)) return out;
       out.symmetric = false;
       out.visible_remotes |= 1ull << i;
-      out.eval.push_back([active, i](const sem::RvState& s,
-                                     const sem::Label&) {
-        return active(s, i);
+      out.eval.push_back([requested, i](const State& s, const sem::Label&) {
+        return requested(s, i);
       });
       continue;
     }
@@ -139,7 +132,10 @@ BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
         out.error = arity_error(a, "one home control-state name");
         return out;
       }
-      out.eval.push_back([sid](const sem::RvState& s, const sem::Label&) {
+      // The asynchronous HomeMachine::state holds the origin state while
+      // transient, which is exactly the §4 abstraction's reading of
+      // transient states.
+      out.eval.push_back([sid](const State& s, const sem::Label&) {
         return s.home.state == sid;
       });
       continue;
@@ -156,7 +152,7 @@ BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
       if (!check_remote_index(a, i, n, out.error)) return out;
       out.symmetric = false;
       out.visible_remotes |= 1ull << i;
-      out.eval.push_back([i, sid](const sem::RvState& s, const sem::Label&) {
+      out.eval.push_back([i, sid](const State& s, const sem::Label&) {
         return s.remotes[i].state == sid;
       });
       continue;
@@ -167,9 +163,8 @@ BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
         out.error = arity_error(a, "one integer occupancy");
         return out;
       }
-      // The rendezvous semantics has no buffers; occupancy is always 0.
-      out.eval.push_back([c](const sem::RvState&, const sem::Label&) {
-        return 0 >= c;
+      out.eval.push_back([buffer_size, c](const State& s, const sem::Label&) {
+        return buffer_size(s) >= c;
       });
       continue;
     }
@@ -179,96 +174,36 @@ BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
   return out;
 }
 
+}  // namespace
+
+BoundAtoms<sem::RvState> bind_atoms(const sem::RendezvousSystem& sys,
+                                    const std::vector<Atom>& atoms) {
+  const ir::Protocol& p = sys.protocol();
+  return bind_all<sem::RvState>(
+      p, sys.num_remotes(), atoms,
+      // A rendezvous-level remote "has an outstanding request" while it
+      // sits in an active communication state (its single output guard is
+      // the pending request; §2.4).
+      [&p](const sem::RvState& s, int i) {
+        return ir::Process::is_active_state(
+            p.remote.state(s.remotes[i].state));
+      },
+      // The rendezvous semantics has no buffers; occupancy is always 0.
+      [](const sem::RvState&) { return 0; });
+}
+
 BoundAtoms<runtime::AsyncState> bind_atoms(const runtime::AsyncSystem& sys,
                                            const std::vector<Atom>& atoms) {
-  BoundAtoms<runtime::AsyncState> out;
-  const ir::Protocol& p = sys.protocol();
-  const int n = sys.num_remotes();
-  for (const Atom& a : atoms) {
-    std::string error;
-    if (bind_event_atom(a, out, error)) {
-      if (!error.empty()) {
-        out.error = std::move(error);
-        return out;
-      }
-      continue;
-    }
-    if (a.name == "requested") {
+  return bind_all<runtime::AsyncState>(
+      sys.protocol(), sys.num_remotes(), atoms,
       // §3's transient flag: set from the active send until the matching
       // ack/nack/reply resolves the request.
-      if (a.args.empty()) {
-        out.visible_remotes = ~0ull;
-        out.eval.push_back([n](const runtime::AsyncState& s,
-                               const sem::Label&) {
-          for (int i = 0; i < n; ++i)
-            if (s.remotes[i].transient) return true;
-          return false;
-        });
-        continue;
-      }
-      int i = -1;
-      if (a.args.size() != 1 || !parse_int(a.args[0], i)) {
-        out.error = arity_error(a, "one integer remote index");
-        return out;
-      }
-      if (!check_remote_index(a, i, n, out.error)) return out;
-      out.symmetric = false;
-      out.visible_remotes |= 1ull << i;
-      out.eval.push_back([i](const runtime::AsyncState& s,
-                             const sem::Label&) {
+      [](const runtime::AsyncState& s, int i) {
         return s.remotes[i].transient;
+      },
+      [](const runtime::AsyncState& s) {
+        return static_cast<int>(s.home.buffer.size());
       });
-      continue;
-    }
-    if (a.name == "home") {
-      ir::StateId sid = a.args.size() == 1 ? p.home.find_state(a.args[0])
-                                           : ir::kNoState;
-      if (sid == ir::kNoState) {
-        out.error = arity_error(a, "one home control-state name");
-        return out;
-      }
-      // HomeMachine::state holds the origin state while transient, which is
-      // exactly the §4 abstraction's reading of transient states.
-      out.eval.push_back([sid](const runtime::AsyncState& s,
-                               const sem::Label&) {
-        return s.home.state == sid;
-      });
-      continue;
-    }
-    if (a.name == "remote") {
-      int i = -1;
-      ir::StateId sid = a.args.size() == 2 && parse_int(a.args[0], i)
-                            ? p.remote.find_state(a.args[1])
-                            : ir::kNoState;
-      if (sid == ir::kNoState) {
-        out.error = arity_error(a, "(remote index, control-state name)");
-        return out;
-      }
-      if (!check_remote_index(a, i, n, out.error)) return out;
-      out.symmetric = false;
-      out.visible_remotes |= 1ull << i;
-      out.eval.push_back([i, sid](const runtime::AsyncState& s,
-                                  const sem::Label&) {
-        return s.remotes[i].state == sid;
-      });
-      continue;
-    }
-    if (a.name == "buffer_ge") {
-      int c = -1;
-      if (a.args.size() != 1 || !parse_int(a.args[0], c)) {
-        out.error = arity_error(a, "one integer occupancy");
-        return out;
-      }
-      out.eval.push_back([c](const runtime::AsyncState& s,
-                             const sem::Label&) {
-        return static_cast<int>(s.home.buffer.size()) >= c;
-      });
-      continue;
-    }
-    out.error = strf("unknown atom '%s'", a.spelling.c_str());
-    return out;
-  }
-  return out;
 }
 
 }  // namespace ccref::ltl

@@ -46,7 +46,7 @@
 
 #include "support/contracts.hpp"
 #include "support/spill.hpp"
-#include "support/thread_pool.hpp"
+#include "support/spin.hpp"
 
 namespace ccref {
 

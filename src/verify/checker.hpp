@@ -137,9 +137,6 @@ struct CheckOptions {
   /// to Off: the ample proviso needs immediate revisit answers, which
   /// deferred membership cannot give.
   ExternalPolicy external;
-  /// Pre-size the visited set's hash table for this many states (0: grow on
-  /// demand). The charge is taken up front, capped at half the budget.
-  std::size_t expected_states = 0;
 };
 
 namespace detail {

@@ -58,7 +58,7 @@
 #include "support/bytes.hpp"
 #include "support/run_file.hpp"
 #include "support/spill.hpp"
-#include "support/thread_pool.hpp"
+#include "support/spin.hpp"
 #include "verify/external_set.hpp"
 #include "verify/fingerprint_set.hpp"
 #include "verify/state_set.hpp"
@@ -119,7 +119,6 @@ struct StorageOptions {
   /// fingerprint representation, hence the same omission bound) and makes
   /// `compress` moot; resolve() notes both downgrades.
   ExternalPolicy external{};
-  std::size_t expected_states = 0;
 };
 
 /// Component structure registry of a ComponentCodec: slot k of every state
@@ -531,8 +530,8 @@ class CollapsedStateSet {
       : budget_(memory_limit_bytes),
         st_(st),
         mode_(st.compress),
-        tuples_(budget_, table_bound(st) ? 0 : st.expected_states,
-                table_bound(st) ? kIdleSlots : kTableSlots, st.spill),
+        tuples_(budget_, table_bound(st) ? kIdleSlots : kTableSlots,
+                st.spill),
         codec_(budget_, st.spill) {
     init_tiers();
   }
@@ -704,7 +703,7 @@ class CollapsedStateSet {
       return;
     }
     if (st_.hash_compact)
-      fps_ = std::make_unique<FingerprintSet>(budget_, st_.expected_states);
+      fps_ = std::make_unique<FingerprintSet>(budget_);
   }
 
   static constexpr std::size_t kFrontierBufBytes = 32768;

@@ -94,8 +94,6 @@ struct LivenessOptions {
   /// automaton prefix becomes its own component, the system components keep
   /// their classes. Verdict-neutral.
   CompressionMode compress = CompressionMode::Off;
-  /// Pre-size the product visited set (0: grow on demand).
-  std::size_t expected_states = 0;
   bool want_trace = true;
 };
 
@@ -257,9 +255,7 @@ template <class Sys>
     return -1;
   };
 
-  CollapsedStateSet seen(opts.memory_limit,
-                         {.compress = opts.compress,
-                          .expected_states = opts.expected_states});
+  CollapsedStateSet seen(opts.memory_limit, {.compress = opts.compress});
   std::vector<std::uint32_t> parent;         // first-discovery BFS parent
   std::vector<std::uint32_t> aut_of;         // automaton component per state
   std::vector<std::uint64_t> grant_enabled;  // Streett E_i bits per state

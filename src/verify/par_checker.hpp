@@ -1,10 +1,10 @@
 // Parallel explicit-state reachability engine — lock-free on every hot
 // path.
 //
-// Same contract as verify::explore (checker.hpp), executed by a worker
-// pool over a lock-free ShardedStateSet: each worker owns a Chase–Lev
-// work-stealing deque (owner push/pop lock-free, steal by CAS) and
-// steals from siblings when its own runs dry. Visited-set inserts are
+// Same contract as verify::explore (checker.hpp), executed by one
+// std::jthread per job over a lock-free ShardedStateSet: each worker owns
+// a Chase–Lev work-stealing deque (owner push/pop lock-free, steal by CAS)
+// and steals from siblings when its own runs dry. Visited-set inserts are
 // claim-by-CAS / publish-with-release (no shard mutexes), and under
 // --compress the COLLAPSE dictionary hit path is a lock-free probe. For
 // a run that completes with Status::Ok the reported state and transition
@@ -38,12 +38,14 @@
 // sleep/poll loop, so quiescence is detected within a scheduling quantum.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <vector>
 
-#include "support/thread_pool.hpp"
+#include "support/spin.hpp"
 #include "support/work_steal_deque.hpp"
 #include "verify/checker.hpp"
 #include "verify/sharded_state_set.hpp"
@@ -75,19 +77,17 @@ std::vector<std::string> rebuild_trace(const Sys& sys,
 }  // namespace detail
 
 /// Parallel counterpart of verify::explore. `jobs` == 0 means one worker
-/// per hardware thread; `shards` == 0 matches the shard count to the
-/// worker count — shards are a striping detail of the lock-free table
-/// (they spread resize epochs and allocation counters), not a lock
-/// domain, so they no longer need to outnumber the workers 8:1. Agrees
-/// with the sequential engine on status always, and on state/transition
-/// counts whenever the status is Ok.
+/// per hardware thread. The visited set gets one shard per worker — shards
+/// are a striping detail of the lock-free table (they spread resize epochs
+/// and allocation counters), not a lock domain. Agrees with the sequential
+/// engine on status always, and on state/transition counts whenever the
+/// status is Ok.
 template <class Sys>
 [[nodiscard]] CheckResult par_explore(const Sys& sys,
                                       const CheckOptions<Sys>& opts = {},
-                                      unsigned jobs = 0, unsigned shards = 0) {
+                                      unsigned jobs = 0) {
   auto t0 = std::chrono::steady_clock::now();
-  if (jobs == 0) jobs = ThreadPool::default_concurrency();
-  if (shards == 0) shards = jobs;
+  if (jobs == 0) jobs = std::max(1u, std::thread::hardware_concurrency());
 
   CheckResult result;
   const sem::LabelMode mode =
@@ -97,7 +97,7 @@ template <class Sys>
   const bool external = opts.external.enabled();
   const PorMode por = plan.por;
   result.note = plan.note;
-  ShardedStateSet seen(opts.memory_limit, shards,
+  ShardedStateSet seen(opts.memory_limit, jobs,
                        /*track_parents=*/opts.want_trace, plan.storage);
 
   // A frontier item carries its own copy of the encoded state: under
@@ -323,11 +323,10 @@ template <class Sys>
   };
 
   {
-    ThreadPool pool(jobs);
-    for (unsigned i = 0; i < jobs; ++i)
-      pool.submit([&worker_fn, i] { worker_fn(i); });
-    pool.wait_idle();
-  }
+    std::vector<std::jthread> threads;
+    threads.reserve(jobs);
+    for (unsigned i = 0; i < jobs; ++i) threads.emplace_back(worker_fn, i);
+  }  // every worker joins here
   // Early-stop runs leave unexpanded items behind; workers are joined, so
   // draining via owner pops is safe from this thread.
   for (auto& w : workers)
@@ -346,6 +345,15 @@ template <class Sys>
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
   return result;
+}
+
+/// The one engine dispatch every driver and test goes through: the
+/// sequential breadth-first engine for jobs == 1, the parallel engine
+/// otherwise (0: one worker per hardware thread).
+template <class Sys>
+[[nodiscard]] CheckResult check(const Sys& sys, const CheckOptions<Sys>& opts,
+                                unsigned jobs) {
+  return jobs == 1 ? explore(sys, opts) : par_explore(sys, opts, jobs);
 }
 
 }  // namespace ccref::verify

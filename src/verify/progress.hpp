@@ -39,8 +39,6 @@ struct ProgressOptions {
   PorMode por = PorMode::Off;
   /// COLLAPSE component interning (collapse.hpp); verdict-neutral.
   CompressionMode compress = CompressionMode::Off;
-  /// Pre-size the visited set for this many states (0: grow on demand).
-  std::size_t expected_states = 0;
 };
 
 struct ProgressResult {
@@ -59,9 +57,7 @@ template <class Sys>
                                             const ProgressOptions& opts = {}) {
   auto t0 = std::chrono::steady_clock::now();
   ProgressResult result;
-  CollapsedStateSet seen(opts.memory_limit,
-                         {.compress = opts.compress,
-                          .expected_states = opts.expected_states});
+  CollapsedStateSet seen(opts.memory_limit, {.compress = opts.compress});
   // Reverse adjacency + per-state "has a completing out-edge" seed flag.
   std::vector<std::vector<std::uint32_t>> rev;
   std::vector<std::uint8_t> seed;
@@ -151,15 +147,6 @@ template <class Sys>
     }
   }
   return finish(Status::Ok);
-}
-
-/// Budget-only convenience overload kept for existing call sites.
-template <class Sys>
-[[nodiscard]] ProgressResult check_progress(const Sys& sys,
-                                            std::size_t memory_limit) {
-  ProgressOptions opts;
-  opts.memory_limit = memory_limit;
-  return check_progress(sys, opts);
 }
 
 }  // namespace ccref::verify

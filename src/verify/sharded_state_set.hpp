@@ -37,7 +37,7 @@
 #include <span>
 #include <vector>
 
-#include "support/thread_pool.hpp"
+#include "support/spin.hpp"
 #include "verify/collapse.hpp"
 #include "verify/external_set.hpp"
 #include "verify/state_set.hpp"
@@ -86,12 +86,10 @@ class ShardedStateSet {
   /// record for trace reconstruction. Under CompressionMode::Collapse
   /// all shards share one ComponentCodec, so dictionary indices are
   /// global; shard choice still hashes the raw (canonical) encoding.
-  /// `st.expected_states` is split evenly across shards to pre-size
-  /// their tables; all construction floors
-  /// shrink until they fit a quarter of the budget, so even tiny limits
-  /// leave headroom for actual states. The storage routing (hash
-  /// compaction, spill policy, external tier) is threaded to every shard
-  /// and to the codec.
+  /// All construction floors shrink until they fit a quarter of the
+  /// budget, so even tiny limits leave headroom for actual states. The
+  /// storage routing (hash compaction, spill policy, external tier) is
+  /// threaded to every shard and to the codec.
   ShardedStateSet(std::size_t memory_limit_bytes, unsigned shard_count,
                   bool track_parents = false, const StorageOptions& st = {})
       : budget_(memory_limit_bytes),
@@ -99,7 +97,6 @@ class ShardedStateSet {
         fp_(st.fingerprint != nullptr ? st.fingerprint : &default_fingerprint),
         track_parents_(track_parents),
         codec_(budget_, st.spill) {
-    const std::size_t expected_states = st.expected_states;
     unsigned n = 1;
     while (n < shard_count && n < kMaxShards) n <<= 1;
     shard_bits_ = 0;
@@ -128,15 +125,6 @@ class ShardedStateSet {
     }
 
     std::size_t slots = 1024;
-    if (expected_states > 0) {
-      const std::size_t per_shard = expected_states / n;
-      while (slots * 7 < per_shard * 10) slots *= 2;
-      // A wild hint must degrade into ordinary growth, not pre-spend the
-      // budget (same discipline as StateSet's hint clamp).
-      while (slots > 1024 &&
-             n * slots * sizeof(std::uint64_t) > memory_limit_bytes / 2)
-        slots /= 2;
-    }
     while (slots > 64 &&
            n * slots * sizeof(std::uint64_t) > memory_limit_bytes / 4)
       slots /= 2;

@@ -24,11 +24,14 @@
 // byte string per orbit.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "support/atomic_table.hpp"
@@ -50,18 +53,11 @@ class StateSet {
     std::uint32_t index;  // valid unless Exhausted
   };
 
-  /// `expected_states` pre-sizes the table for that many entries at the 0.7
-  /// load factor, charged to the budget up front — a correct hint on a large
-  /// run replaces log2(states/1024) rehash storms (each of which briefly
-  /// holds two tables) with one charge at construction. 0 keeps the default
-  /// 1024-slot table; the hint is capped so it can never pre-spend more than
-  /// half the budget on slots.
-  explicit StateSet(std::size_t memory_limit_bytes,
-                    std::size_t expected_states = 0, SpillPolicy spill = {})
+  explicit StateSet(std::size_t memory_limit_bytes, SpillPolicy spill = {})
       : owned_(std::make_unique<MemoryBudget>(memory_limit_bytes)),
         budget_(owned_.get()),
         pool_(*budget_, kPoolChunk0, spill) {
-    init_table(expected_states, kInitialSlots);
+    init_table(kInitialSlots);
   }
 
   /// Shared-budget constructor: draw on a budget shared with sibling
@@ -69,11 +65,11 @@ class StateSet {
   /// `min_slots` (a power of two) lets a table that will stay nearly empty
   /// — the unused tuple table of the fingerprint tiers — start below the
   /// default 1024 slots.
-  explicit StateSet(MemoryBudget& budget, std::size_t expected_states = 0,
+  explicit StateSet(MemoryBudget& budget,
                     std::size_t min_slots = kInitialSlots,
                     SpillPolicy spill = {})
       : budget_(&budget), pool_(budget, kPoolChunk0, spill) {
-    init_table(expected_states, min_slots);
+    init_table(min_slots);
   }
 
   [[nodiscard]] InsertResult insert(std::span<const std::byte> state) {
@@ -89,60 +85,44 @@ class StateSet {
     for (;;) {
       std::uint32_t e = table_[slot];
       if (e == kEmpty) break;
-      if (entries_[e].hash == h && equals(e, state))
+      if (entry(e).hash == h && equals(e, state))
         return {Outcome::AlreadyPresent, e};
       slot = (slot + 1) & mask;
     }
 
-    // Admission control for the index structures (the pool charges its own
-    // chunks inside alloc). Vector growth doubles capacity, so project the
-    // *post-growth* footprint.
-    auto grown = [](std::size_t cap, std::size_t need) {
-      return need <= cap ? cap : std::max(cap * 2, need);
-    };
-    std::size_t projected =
-        grown(entries_.capacity(), entries_.size() + 1) * sizeof(Entry) +
-        table_.capacity() * sizeof(std::uint32_t);
-    if (projected > reserved_) {
-      if (!budget_->try_reserve(projected - reserved_)) {
-        // Nothing was allocated; hand back anything charged beyond actual
-        // use so sibling shards on a shared budget see the true headroom.
-        reconcile();
-        return {Outcome::Exhausted, 0};
-      }
-      reserved_ = projected;
-    }
+    // The entry's chunk first (the pool charges its own chunks inside
+    // alloc): a fresh chunk is charged in full when first used, so the
+    // index never needs more than one chunk of headroom.
+    auto index = static_cast<std::uint32_t>(size_);
+    CCREF_ASSERT_MSG(index != kEmpty, "state count overflow");
+    const auto [chunk, pos] = locate(index);
+    if (chunk == chunks_.size() && !add_chunk(chunk))
+      return {Outcome::Exhausted, 0};
 
     // Pool placement next: a refused chunk (RAM and spill both exhausted)
     // aborts before any index mutation.
     std::uint32_t off = 0;
     if (!state.empty()) {
       off = pool_.alloc(state.size());
-      if (off == decltype(pool_)::kNpos) {
-        reconcile();
-        return {Outcome::Exhausted, 0};
-      }
+      if (off == decltype(pool_)::kNpos) return {Outcome::Exhausted, 0};
       std::memcpy(pool_.data(off), state.data(), state.size());
     }
 
-    auto index = static_cast<std::uint32_t>(entries_.size());
-    CCREF_ASSERT_MSG(index != kEmpty, "state count overflow");
-    entries_.push_back({h, off, static_cast<std::uint32_t>(state.size())});
+    chunks_[chunk][pos] = {h, off, static_cast<std::uint32_t>(state.size())};
+    ++size_;
     payload_bytes_ += state.size();
     table_[slot] = index;
-    reconcile();
-    if (entries_.size() * 10 > table_.size() * 7) {
+    if (size_ * 10 > table_.size() * 7) {
       if (!grow()) {
         // Rolling back keeps the set consistent if the grow would burst the
         // budget; the caller sees exhaustion on this insert. The pool bump
         // pointer rewinds to exactly where alloc placed this record (the
-        // set is single-threaded), and reconcile releases whatever the
-        // index vectors projected beyond their shrunken sizes.
+        // set is single-threaded); an entry chunk stays charged and is
+        // reused by the next insert.
         table_[slot] = kEmpty;
         if (!state.empty()) pool_.rewind(off, state.size());
         payload_bytes_ -= state.size();
-        entries_.pop_back();
-        reconcile();
+        --size_;
         return {Outcome::Exhausted, 0};
       }
     }
@@ -150,13 +130,13 @@ class StateSet {
   }
 
   [[nodiscard]] std::span<const std::byte> at(std::uint32_t index) const {
-    CCREF_REQUIRE(index < entries_.size());
-    const Entry& e = entries_[index];
+    CCREF_REQUIRE(index < size_);
+    const Entry& e = entry(index);
     if (e.len == 0) return {};
     return {pool_.data(e.offset), e.len};
   }
 
-  [[nodiscard]] std::size_t size() const { return entries_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   /// Bytes of state payload actually stored (the raw-vs-collapsed
   /// compression comparisons are about this quantity, not the table/index
@@ -190,81 +170,91 @@ class StateSet {
   static constexpr std::uint32_t kEmpty = 0xffffffffu;
   static constexpr std::size_t kInitialSlots = 1024;
   static constexpr std::size_t kPoolChunk0 = 4096;
+  // Entry chunks: 2^kFirstBits entries, then doubling up to 2^kMaxBits
+  // entries (1 MiB), then fixed at that size — so growing the index never
+  // charges (or copies) more than 1 MiB at once, however large the set.
+  static constexpr unsigned kFirstBits = 6;
+  static constexpr unsigned kMaxBits = 16;
+
+  /// (chunk, position) of entry `index`. Chunk 0 holds [0, 2^kFirstBits);
+  /// doubling chunk k >= 1 holds [2^(kFirstBits+k-1), 2^(kFirstBits+k)),
+  /// up to [2^kMaxBits, 2^(kMaxBits+1)); fixed chunks follow.
+  [[nodiscard]] static std::pair<std::size_t, std::size_t> locate(
+      std::uint32_t index) {
+    if (index >> (kMaxBits + 1))
+      return {(index >> kMaxBits) + kMaxBits - kFirstBits,
+              index & ((1u << kMaxBits) - 1)};
+    const auto k = static_cast<unsigned>(std::bit_width(index >> kFirstBits));
+    return {k, k == 0 ? index : index - (1u << (kFirstBits + k - 1))};
+  }
+
+  [[nodiscard]] static std::size_t chunk_entries(std::size_t chunk) {
+    return std::size_t{1}
+           << std::clamp<std::size_t>(kFirstBits + chunk - 1, kFirstBits,
+                                      kMaxBits);
+  }
+
+  [[nodiscard]] const Entry& entry(std::uint32_t index) const {
+    const auto [chunk, pos] = locate(index);
+    return chunks_[chunk][pos];
+  }
+
+  /// Allocate entry chunk `chunk`, charged in full up front.
+  [[nodiscard]] bool add_chunk(std::size_t chunk) {
+    const std::size_t n = chunk_entries(chunk);
+    if (!budget_->try_reserve(n * sizeof(Entry))) return false;
+    chunks_.push_back(std::make_unique_for_overwrite<Entry[]>(n));
+    entry_capacity_ += n;
+    return true;
+  }
 
   /// Charge the initial table to the budget immediately. An idle shard on a
   /// shared budget still holds its table; deferring the charge to the first
   /// insert would let budget().used() drift below the memory actually held.
-  /// The expected-states hint is honored up to half the budget: a wild hint
-  /// must degrade into ordinary growth, not immediate exhaustion.
-  void init_table(std::size_t expected_states, std::size_t min_slots) {
-    std::size_t slots = min_slots;
-    while (slots * 7 < expected_states * 10) slots *= 2;
-    while (slots > min_slots &&
-           slots * sizeof(std::uint32_t) > budget_->limit() / 2)
-      slots /= 2;
+  /// A table larger than the whole budget is charged anyway: the set is
+  /// born exhausted rather than born dishonest.
+  void init_table(std::size_t slots) {
     table_.resize(slots, kEmpty);
-    reconcile();
+    const std::size_t bytes = slots * sizeof(std::uint32_t);
+    if (!budget_->try_reserve(bytes)) budget_->charge(bytes);
   }
 
   [[nodiscard]] bool equals(std::uint32_t e,
                             std::span<const std::byte> state) const {
-    const Entry& ent = entries_[e];
+    const Entry& ent = entry(e);
     if (ent.len != state.size()) return false;
     if (ent.len == 0) return true;
     return std::memcmp(pool_.data(ent.offset), state.data(), ent.len) == 0;
   }
 
   [[nodiscard]] std::size_t index_bytes() const {
-    return entries_.capacity() * sizeof(Entry) +
-           table_.capacity() * sizeof(std::uint32_t);
-  }
-
-  /// Re-align the reservation with what the index vectors actually hold:
-  /// charge any capacity grabbed beyond the projection (libstdc++ doubles
-  /// exactly, so that direction is normally a no-op) and release any
-  /// projected bytes the vectors never took — after a growth policy lands
-  /// below max(2*cap, need), or after an insert rollback. Leaving the
-  /// surplus charged would starve sibling shards drawing on a shared
-  /// budget. (The pool reconciles nothing: chunks are charged in full on
-  /// allocation and held until destruction.)
-  void reconcile() {
-    std::size_t actual = index_bytes();
-    if (actual > reserved_) {
-      // Over-projection failure here would mean the allocator already
-      // grabbed the memory; record it rather than lie about usage.
-      (void)budget_->try_reserve(actual - reserved_);
-      reserved_ = actual;
-    } else if (reserved_ > actual) {
-      budget_->release(reserved_ - actual);
-      reserved_ = actual;
-    }
+    return entry_capacity_ * sizeof(Entry) +
+           table_.size() * sizeof(std::uint32_t);
   }
 
   [[nodiscard]] bool grow() {
     std::size_t new_slots = table_.size() * 2;
     // The old and the new table coexist during rehash; both are charged.
     if (!budget_->try_reserve(new_slots * sizeof(std::uint32_t))) return false;
-    reserved_ += new_slots * sizeof(std::uint32_t);
     std::vector<std::uint32_t> fresh(new_slots, kEmpty);
     std::size_t mask = new_slots - 1;
-    for (std::uint32_t e = 0; e < entries_.size(); ++e) {
-      std::size_t slot = entries_[e].hash & mask;
+    for (std::uint32_t e = 0; e < size_; ++e) {
+      std::size_t slot = entry(e).hash & mask;
       while (fresh[slot] != kEmpty) slot = (slot + 1) & mask;
       fresh[slot] = e;
     }
-    std::size_t old_bytes = table_.capacity() * sizeof(std::uint32_t);
+    budget_->release(table_.size() * sizeof(std::uint32_t));
     table_ = std::move(fresh);
-    budget_->release(old_bytes);
-    reserved_ -= old_bytes;
     return true;
   }
 
   std::unique_ptr<MemoryBudget> owned_;  // null when the budget is shared
   MemoryBudget* budget_;
-  std::size_t reserved_ = 0;  // index bytes currently charged to the budget
   std::size_t payload_bytes_ = 0;
   ChunkedBytePool<MemoryBudget> pool_;
-  std::vector<Entry> entries_;
+  std::vector<std::unique_ptr<Entry[]>> chunks_;
+  std::size_t size_ = 0;
+  std::size_t entry_capacity_ = 0;  // entries the chunks hold, all charged
   std::vector<std::uint32_t> table_;
 };
 

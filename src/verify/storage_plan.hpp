@@ -4,13 +4,15 @@
 // once: an ample-set reduction next to invariants, hash compaction next to
 // the external tier, COLLAPSE next to fingerprint storage. resolve() is the
 // single owner of those composition rules. It returns what the run will
-// actually do — the effective POR mode and one StorageOptions that serves
-// the sequential CollapsedStateSet and the parallel ShardedStateSet alike —
-// plus the note that tells the user which requests were downgraded. explore
-// and par_explore both call it, so the same options give the same plan and
-// the same note in either engine.
+// actually do — the effective POR mode, the storage tier, and one
+// StorageOptions that serves the sequential CollapsedStateSet and the
+// parallel ShardedStateSet alike — plus the note that tells the user which
+// requests were downgraded. explore and par_explore both call it, so the
+// same options give the same plan and the same note in either engine, and
+// the --json check rows (support/verify_cli.hpp) report it.
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "verify/collapse.hpp"
@@ -21,9 +23,26 @@ namespace ccref::verify {
 template <class Sys>
 struct CheckOptions;
 
+/// Where a run keeps its visited states: one byte vector per state, COLLAPSE
+/// index tuples, one 64-bit fingerprint per state in RAM, or fingerprints in
+/// disk runs. (--spill composes with the two byte tiers; it moves pool
+/// chunks, not the tier.)
+enum class StorageTier : std::uint8_t { Full, Collapse, HashCompact, External };
+
+[[nodiscard]] constexpr const char* to_string(StorageTier t) {
+  switch (t) {
+    case StorageTier::Full: return "full";
+    case StorageTier::Collapse: return "collapse";
+    case StorageTier::HashCompact: return "hash-compact";
+    case StorageTier::External: return "external";
+  }
+  return "?";
+}
+
 struct StoragePlan {
-  PorMode por = PorMode::Off;  // the reduction the search really applies
-  StorageOptions storage;      // visited-set routing, for either set type
+  PorMode por = PorMode::Off;            // the reduction really applied
+  StorageTier tier = StorageTier::Full;  // where states really live
+  StorageOptions storage;  // visited-set routing, for either set type
   /// Hash compaction or the external tier: states are kept as 64-bit
   /// fingerprints, so an Ok count carries an omission bound and traces
   /// replay by fingerprint.
@@ -68,6 +87,11 @@ template <class Sys>
     add_note(
         "compress ignored under hash compaction: fingerprints leave no "
         "stored bytes to compress");
+  plan.tier = external            ? StorageTier::External
+              : opts.hash_compact ? StorageTier::HashCompact
+              : opts.compress == CompressionMode::Collapse
+                  ? StorageTier::Collapse
+                  : StorageTier::Full;
   plan.storage = {
       .compress = opts.compress,
       .hash_compact = opts.hash_compact && !external,
@@ -80,8 +104,7 @@ template <class Sys>
       // only.
       .keep_fingerprints = plan.fingerprinted && opts.want_trace,
       .spill = opts.spill,
-      .external = opts.external,
-      .expected_states = opts.expected_states};
+      .external = opts.external};
   return plan;
 }
 

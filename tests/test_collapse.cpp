@@ -179,8 +179,7 @@ verify::CheckResult check(const Sys& sys, CompressionMode compress,
   opts.por = por;
   opts.symmetry = symmetry;
   opts.memory_limit = 512u << 20;
-  return jobs <= 1 ? verify::explore(sys, opts)
-                   : verify::par_explore(sys, opts, jobs);
+  return verify::check(sys, opts, jobs);
 }
 
 void expect_compress_agreement(const ir::Protocol& p, int n,

@@ -325,8 +325,7 @@ verify::CheckResult check_ext(const Sys& sys, const std::string& dir,
   opts.symmetry = symmetry;
   opts.memory_limit = 512u << 20;
   if (!dir.empty()) opts.external.dir = dir;
-  return jobs <= 1 ? verify::explore(sys, opts)
-                   : verify::par_explore(sys, opts, jobs);
+  return verify::check(sys, opts, jobs);
 }
 
 void expect_ext_agreement(const ir::Protocol& p, int n, const char* what) {
@@ -391,8 +390,7 @@ TEST(ExternalComposition, CompressRequestIsNotedAndIgnored) {
   opts.compress = verify::CompressionMode::Collapse;
   opts.external.dir = dir.path.string();
   for (unsigned jobs : {1u, 2u}) {
-    auto r = jobs <= 1 ? verify::explore(sys, opts)
-                       : verify::par_explore(sys, opts, jobs);
+    auto r = verify::check(sys, opts, jobs);
     EXPECT_EQ(r.status, verify::Status::Ok) << "jobs=" << jobs;
     EXPECT_NE(r.note.find("hash"), std::string::npos)
         << "jobs=" << jobs << " note: " << r.note;
@@ -409,8 +407,7 @@ TEST(ExternalComposition, HashCompactIsSubsumed) {
   opts.hash_compact = true;
   opts.external.dir = dir.path.string();
   for (unsigned jobs : {1u, 2u}) {
-    auto r = jobs <= 1 ? verify::explore(sys, opts)
-                       : verify::par_explore(sys, opts, jobs);
+    auto r = verify::check(sys, opts, jobs);
     EXPECT_EQ(r.status, verify::Status::Ok) << "jobs=" << jobs;
     EXPECT_NE(r.note.find("subsumed"), std::string::npos)
         << "jobs=" << jobs << " note: " << r.note;

@@ -238,8 +238,7 @@ verify::CheckResult check(const Sys& sys, bool hc, CompressionMode compress,
   opts.por = por;
   opts.symmetry = symmetry;
   opts.memory_limit = 512u << 20;
-  return jobs <= 1 ? verify::explore(sys, opts)
-                   : verify::par_explore(sys, opts, jobs);
+  return verify::check(sys, opts, jobs);
 }
 
 template <class Sys>
@@ -350,8 +349,7 @@ TEST(HashCompact, ForcedCollisionIsReportedNotSilent) {
     opts.hash_compact = true;
     opts.fingerprint = &folded_fingerprint;
     opts.memory_limit = 512u << 20;
-    auto r = jobs <= 1 ? verify::explore(sys, opts)
-                       : verify::par_explore(sys, opts, jobs);
+    auto r = verify::check(sys, opts, jobs);
     // States were omitted (64 buckets cap the count), and the result SAYS
     // so: the omission probability is reported, not buried.
     EXPECT_LE(r.states, 64u) << "jobs=" << jobs;

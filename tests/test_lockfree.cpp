@@ -20,7 +20,7 @@
 #include "sem/rendezvous.hpp"
 #include "support/atomic_table.hpp"
 #include "support/hash.hpp"
-#include "support/thread_pool.hpp"
+#include "support/spin.hpp"
 #include "support/work_steal_deque.hpp"
 #include "verify/checker.hpp"
 #include "verify/memory_budget.hpp"
@@ -307,7 +307,7 @@ TEST(LockFreeParChecker, ExhaustionRaceStillBoundsMemory) {
 // ---- jobs=max fuzz: all four protocols, every reduction composed -----------
 
 TEST(LockFreeParChecker, JobsMaxFuzzAgreementAllProtocols) {
-  const unsigned jobs = std::max(2u, ThreadPool::default_concurrency());
+  const unsigned jobs = std::max(2u, std::thread::hardware_concurrency());
   const ir::Protocol protos[] = {
       protocols::make_migratory(), protocols::make_invalidate(),
       protocols::make_write_update(), protocols::make_lock_server()};

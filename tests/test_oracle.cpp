@@ -75,8 +75,7 @@ void expect_oracle_agreement(const Sys& sys, const char* what) {
           if (tier == Tier::Collapse) opts.compress = CompressionMode::Collapse;
           if (tier == Tier::HashCompact) opts.hash_compact = true;
           if (tier == Tier::External) opts.external.dir = dir.path.string();
-          auto r = jobs <= 1 ? verify::explore(sys, opts)
-                             : verify::par_explore(sys, opts, jobs);
+          auto r = verify::check(sys, opts, jobs);
           const std::string at = std::string(what) + " jobs=" +
                                  std::to_string(jobs) + " tier=" + name(tier) +
                                  " symmetry=" + verify::to_string(sym) +

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 
 #include "protocols/invalidate.hpp"
 #include "protocols/lockserver.hpp"
@@ -31,7 +32,7 @@ void expect_engines_agree(const Sys& sys, const char* what) {
   opts.want_trace = false;
   auto seq = verify::explore(sys, opts);
   const unsigned max_jobs =
-      std::max(2u, ThreadPool::default_concurrency());
+      std::max(2u, std::thread::hardware_concurrency());
   for (unsigned jobs : {1u, kJobs, max_jobs}) {
     auto par = verify::par_explore(sys, opts, jobs);
     EXPECT_EQ(par.status, seq.status) << what << " jobs=" << jobs;

@@ -42,8 +42,7 @@ verify::CheckResult check(const Sys& sys, PorMode por, SymmetryMode symmetry,
   opts.por = por;
   opts.symmetry = symmetry;
   opts.memory_limit = 512u << 20;
-  return jobs <= 1 ? verify::explore(sys, opts)
-                   : verify::par_explore(sys, opts, jobs);
+  return verify::check(sys, opts, jobs);
 }
 
 // ---- verdict agreement: {seq,par} x {sym off,on} x {por off,ample} --------
@@ -121,8 +120,7 @@ TEST(Por, InvariantRunsDowngradeWithNote) {
   opts.por = PorMode::Ample;
   opts.invariant = [](const runtime::AsyncState&) { return std::string(); };
   for (unsigned jobs : {1u, 4u}) {
-    auto r = jobs <= 1 ? verify::explore(sys, opts)
-                       : verify::par_explore(sys, opts, jobs);
+    auto r = verify::check(sys, opts, jobs);
     EXPECT_EQ(r.status, verify::Status::Ok) << "jobs=" << jobs;
     EXPECT_NE(r.note.find("por downgraded to off"), std::string::npos)
         << "jobs=" << jobs;

@@ -53,7 +53,8 @@ constexpr int kProgressSkipBudget = 8;
 std::optional<ir::Protocol> progress_subject(std::uint64_t seed) {
   for (std::uint64_t k = 0; k < kProgressTries; ++k) {
     auto p = fuzz::random_protocol(seed * 1000 + k);
-    auto rv = verify::check_progress(RendezvousSystem(p, kRemotes), kMem);
+    auto rv = verify::check_progress(RendezvousSystem(p, kRemotes),
+                                     {.memory_limit = kMem});
     if (rv.status == verify::Status::Ok && rv.doomed == 0) return p;
   }
   return std::nullopt;
@@ -111,7 +112,8 @@ TEST_P(RandomProtocol, ProgressIsPreserved) {
     GTEST_SKIP() << "every tried rendezvous protocol can wedge; §2.5 "
                     "guarantees nothing here";
   auto rp = refine::refine(*p);
-  auto as = verify::check_progress(AsyncSystem(rp, kRemotes), kMem);
+  auto as = verify::check_progress(AsyncSystem(rp, kRemotes),
+                                   {.memory_limit = kMem});
   if (as.status != verify::Status::Ok) GTEST_SKIP() << "async too large";
   EXPECT_EQ(as.doomed, 0u)
       << as.doomed_example << "\n" << ir::to_string(*p);
@@ -128,8 +130,9 @@ TEST(RandomProtocolCoverage, ProgressSkipBudget) {
       continue;
     }
     auto rp = refine::refine(*p);
-    if (verify::check_progress(AsyncSystem(rp, kRemotes), kMem).status !=
-        verify::Status::Ok)
+    if (verify::check_progress(AsyncSystem(rp, kRemotes),
+                               {.memory_limit = kMem})
+            .status != verify::Status::Ok)
       ++skipped;
   }
   EXPECT_LE(skipped, kProgressSkipBudget);

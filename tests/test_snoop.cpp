@@ -37,8 +37,7 @@ verify::CheckResult check(const Sys& sys, Inv inv, PorMode por,
   opts.compress = compress;
   opts.invariant = std::move(inv);
   opts.memory_limit = 512u << 20;
-  return jobs <= 1 ? verify::explore(sys, opts)
-                   : verify::par_explore(sys, opts, jobs);
+  return verify::check(sys, opts, jobs);
 }
 
 // ---- abstract level: invariant + engine-matrix agreement -------------------

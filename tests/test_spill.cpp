@@ -211,7 +211,7 @@ TEST(StateSetSpill, StatesRoundTripAcrossTiers) {
   ASSERT_TRUE(arena.ok());
   // Watermark low enough that most payload chunks land on disk while the
   // entry index stays in RAM.
-  StateSet set(256 << 10, 0, {&arena, 16 << 10});
+  StateSet set(256 << 10, {&arena, 16 << 10});
   std::vector<std::uint32_t> indices;
   for (std::uint64_t id = 0; id < 4000; ++id) {
     auto r = set.insert(state_bytes(id));

@@ -125,60 +125,37 @@ TEST(StateSet, MemoryNeverExceedsLimitUnderRandomInserts) {
   }
 }
 
-// ---- expected-states hint ----------------------------------------------------
-
-TEST(StateSet, ExpectedStatesHintPreChargesTable) {
-  // expected=100000 at the 0.7 load factor needs 262144 slots; the charge
-  // lands at construction, before any insert.
-  StateSet hinted(64u << 20, /*expected_states=*/100000);
-  StateSet plain(64u << 20);
-  EXPECT_GE(hinted.memory_used(), 262144 * sizeof(std::uint32_t));
-  EXPECT_GT(hinted.memory_used(), plain.memory_used());
-  EXPECT_EQ(hinted.budget().used(), hinted.memory_used());
-
-  // The hint is invisible to semantics: same inserts, same indices.
-  for (std::uint64_t id = 0; id < 2000; ++id) {
-    auto a = hinted.insert(state_bytes(id));
-    auto b = plain.insert(state_bytes(id));
-    ASSERT_EQ(a.outcome, StateSet::Outcome::Inserted);
-    ASSERT_EQ(b.outcome, StateSet::Outcome::Inserted);
-    ASSERT_EQ(a.index, b.index);
-  }
-}
-
-TEST(StateSet, OversizedHintClampsToHalfBudget) {
-  // A wild hint must degrade into ordinary growth, not eat the whole budget
-  // (or overflow): the pre-charge is capped at limit/2.
-  StateSet set(64u << 10, /*expected_states=*/10'000'000);
-  EXPECT_LE(set.memory_used(), set.memory_limit() / 2);
+TEST(StateSet, IndexGrowsPastPowersOfTwoInBoundedChunks) {
+  // The entry index grows in chunks of at most 64 Ki entries (1 MiB), each
+  // charged when first used, so a budget that could not hold a *doubled*
+  // index still admits states past a power of two. An index charged by
+  // doubling stopped this stream at exactly 262,144 states with 2 MiB of
+  // the 12 MiB unused; now the next wall is the table's own doubling.
+  StateSet set(12u << 20);
   std::size_t inserted = 0;
   for (std::uint64_t id = 0;; ++id) {
-    auto r = set.insert(state_bytes(id));
+    auto r = set.insert(state_bytes(id, 8));
     if (r.outcome == StateSet::Outcome::Exhausted) break;
+    ASSERT_EQ(r.index, inserted);
     ++inserted;
-    ASSERT_LE(set.memory_used(), set.memory_limit());
-    ASSERT_LT(id, 100000u);
+    ASSERT_LT(id, 1u << 21);
   }
-  EXPECT_GT(inserted, 100u);
-}
-
-TEST(ShardedStateSet, ExpectedStatesHintSplitsAcrossShards) {
-  // The aggregate hint is divided per shard; each shard's pre-sized table is
-  // charged against the one shared budget up front.
-  ShardedStateSet hinted(8u << 20, 4, /*track_parents=*/false,
-                         {.expected_states = 7000});
-  ShardedStateSet plain(8u << 20, 4);
-  // 7000/4 = 1750 expected per shard -> 4096 slots each (vs. 1024 default).
-  EXPECT_GE(hinted.memory_used(), 4 * 4096 * sizeof(std::uint32_t));
-  EXPECT_GT(hinted.memory_used(), plain.memory_used());
-  for (std::uint64_t id = 0; id < 7000; ++id) {
-    auto a = hinted.insert(state_bytes(id));
-    auto b = plain.insert(state_bytes(id));
-    ASSERT_EQ(a.outcome, ShardedStateSet::Outcome::Inserted);
-    ASSERT_EQ(b.outcome, ShardedStateSet::Outcome::Inserted);
-    ASSERT_EQ(a.ref, b.ref);
+  EXPECT_GT(inserted, 262144u);
+  EXPECT_LE(set.memory_used(), set.memory_limit());
+  EXPECT_EQ(set.budget().used(), set.memory_used());
+  // Entries on both sides of every chunk seam still resolve.
+  for (std::uint64_t id : {0ull, 63ull, 64ull, 65535ull, 65536ull, 131071ull,
+                           131072ull, 196608ull, 262144ull,
+                           static_cast<unsigned long long>(inserted - 1)}) {
+    auto bytes = state_bytes(id, 8);
+    auto r = set.insert(bytes);
+    ASSERT_EQ(r.outcome, StateSet::Outcome::AlreadyPresent) << id;
+    ASSERT_EQ(r.index, id);
+    auto stored = set.at(static_cast<std::uint32_t>(id));
+    ASSERT_TRUE(std::equal(bytes.begin(), bytes.end(), stored.begin(),
+                           stored.end()))
+        << id;
   }
-  EXPECT_EQ(hinted.size(), 7000u);
 }
 
 // ---- the same discipline for the sharded set --------------------------------

@@ -24,6 +24,7 @@ namespace fs = std::filesystem;
 using runtime::AsyncSystem;
 using verify::CompressionMode;
 using verify::PorMode;
+using verify::StorageTier;
 
 constexpr const char* kPorChecks =
     "por downgraded to off: invariants/edge checks must see every reachable "
@@ -49,6 +50,7 @@ struct Row {
   PorMode por_out;
   bool hash_compact_out, keep_fingerprints_out, fingerprinted_out;
   std::string note;
+  StorageTier tier_out = StorageTier::Full;
 };
 
 std::string describe(const Row& r) {
@@ -64,7 +66,9 @@ std::string describe(const Row& r) {
 /// Every combination, with the expected plan spelled out rule by rule: POR
 /// falls to Off under checks (noted first) or else under the external tier;
 /// external subsumes hash compaction; any fingerprint tier makes compress
-/// moot. Notes join in that order with "; ".
+/// moot. Notes join in that order with "; ". The tier is the strongest
+/// storage request left standing: external, then hash compaction, then
+/// COLLAPSE.
 std::vector<Row> table() {
   std::vector<Row> rows;
   for (bool inv : {false, true})
@@ -93,6 +97,11 @@ std::vector<Row> table() {
                 r.hash_compact_out = hc && !ext;
                 r.fingerprinted_out = hc || ext;
                 r.keep_fingerprints_out = (hc || ext) && trace;
+                r.tier_out = ext  ? StorageTier::External
+                             : hc ? StorageTier::HashCompact
+                             : cm == CompressionMode::Collapse
+                                 ? StorageTier::Collapse
+                                 : StorageTier::Full;
                 rows.push_back(std::move(r));
               }
   return rows;
@@ -121,7 +130,6 @@ TEST(StoragePlan, ResolveTable) {
   ASSERT_EQ(rows.size(), 128u);
   for (const Row& r : rows) {
     auto opts = options_for<AsyncSystem>(r, "/nonexistent-plan-dir");
-    opts.expected_states = 1234;
     const verify::StoragePlan plan = verify::resolve(opts);
     const std::string what = describe(r);
     EXPECT_EQ(plan.por, r.por_out) << what;
@@ -130,10 +138,10 @@ TEST(StoragePlan, ResolveTable) {
         << what;
     EXPECT_EQ(plan.fingerprinted, r.fingerprinted_out) << what;
     EXPECT_EQ(plan.note, r.note) << what;
+    EXPECT_EQ(plan.tier, r.tier_out) << what;
     // Pass-throughs: the routing never rewrites what it does not own.
     EXPECT_EQ(plan.storage.compress, r.compress) << what;
     EXPECT_EQ(plan.storage.external.enabled(), r.external) << what;
-    EXPECT_EQ(plan.storage.expected_states, 1234u) << what;
     EXPECT_EQ(plan.storage.fingerprint, &verify::default_fingerprint)
         << what;
   }

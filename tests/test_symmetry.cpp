@@ -33,8 +33,7 @@ verify::CheckResult check(const Sys& sys, SymmetryMode symmetry,
   // writeupdate async at n=3 exhausts the default (Table-3) 64MB budget in
   // the *full* search — the comparison needs both sides to finish.
   opts.memory_limit = 512u << 20;
-  return jobs <= 1 ? verify::explore(sys, opts)
-                   : verify::par_explore(sys, opts, jobs);
+  return verify::check(sys, opts, jobs);
 }
 
 ir::NodePerm random_perm(int n, Rng& rng) {
