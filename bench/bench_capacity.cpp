@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   if (smoke) {
     // CI: one walled budget per protocol, every tier, counts checked
     // against an in-RAM reference. 2 MB walls migratory N=4 (43,956
-    // states) and invalidate N=3 (84,005 states) on full storage.
+    // states) and invalidate N=3 (39,840 states) on full storage.
     const std::size_t wall = 2u << 20;
     bool ok = true;
     auto gate = [&](const char* name, const runtime::AsyncSystem& sys,

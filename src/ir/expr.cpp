@@ -16,6 +16,8 @@ std::int64_t eval(const Expr& e, const Store& store, const EvalCtx& ctx) {
     case K::EmptySet:
       return 0;
     case K::VarRef:
+      if (e.var == ctx.bound && ctx.bound != kNoVar)
+        return static_cast<std::int64_t>(ctx.bound_value);
       return static_cast<std::int64_t>(store.get(e.var));
     case K::SelfId:
       CCREF_REQUIRE_MSG(ctx.self >= 0, "SelfId outside a remote instance");

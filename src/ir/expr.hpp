@@ -52,6 +52,11 @@ struct Expr {
 /// instance (meaningless, and rejected by validation, in the home process).
 struct EvalCtx {
   int self = -1;
+  /// When set, variable `bound` reads as `bound_value` instead of its store
+  /// value: a peer binder made visible to payload expressions before the
+  /// store may be written.
+  VarId bound = kNoVar;
+  Value bound_value = 0;
 };
 
 /// Evaluate an expression over a store. Int results are signed and may

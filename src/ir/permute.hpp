@@ -20,15 +20,17 @@ namespace ccref::ir {
 
 /// A permutation of remote indices: perm[old_index] == new_index.
 using NodePerm = std::vector<std::uint8_t>;
+/// A borrowed permutation (a NodePerm, or a fixed array on the stack).
+using NodePermView = std::span<const std::uint8_t>;
 
-[[nodiscard]] inline bool is_identity(const NodePerm& perm) {
+[[nodiscard]] inline bool is_identity(NodePermView perm) {
   for (std::size_t i = 0; i < perm.size(); ++i)
     if (perm[i] != i) return false;
   return true;
 }
 
 /// Rename one value of declared type `t` through `perm`.
-[[nodiscard]] inline Value remap_value(Type t, Value v, const NodePerm& perm) {
+[[nodiscard]] inline Value remap_value(Type t, Value v, NodePermView perm) {
   const std::size_t n = perm.size();
   switch (t) {
     case Type::Node:
@@ -51,7 +53,7 @@ using NodePerm = std::vector<std::uint8_t>;
 
 /// Rename every Node/NodeSet variable of a store through `perm`.
 inline void remap_store(Store& store, std::span<const VarDecl> decls,
-                        const NodePerm& perm) {
+                        NodePermView perm) {
   for (std::size_t v = 0; v < decls.size(); ++v) {
     if (decls[v].type != Type::Node && decls[v].type != Type::NodeSet)
       continue;

@@ -10,11 +10,15 @@
 // payloads, and state encodings stay uniform.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "support/contracts.hpp"
 #include "support/node_set.hpp"
 
 namespace ccref::ir {
@@ -70,5 +74,43 @@ struct MsgDecl {
 
 /// Maximum payload fields per message (cache-line data + one id is plenty).
 inline constexpr std::size_t kMaxPayload = 2;
+
+/// A message's payload values held inline: at most kMaxPayload of them
+/// (ProtocolBuilder::msg rejects wider messages), so a message copies
+/// without the heap.
+class Payload {
+ public:
+  Payload() = default;
+  Payload(std::initializer_list<Value> values) {
+    for (Value v : values) push_back(v);
+  }
+
+  [[nodiscard]] std::size_t size() const { return n_; }
+  [[nodiscard]] Value operator[](std::size_t f) const { return v_[f]; }
+  Value& operator[](std::size_t f) { return v_[f]; }
+  [[nodiscard]] const Value* begin() const { return v_.data(); }
+  [[nodiscard]] const Value* end() const { return v_.data() + n_; }
+  Value* begin() { return v_.data(); }
+  Value* end() { return v_.data() + n_; }
+
+  void push_back(Value v) {
+    CCREF_ASSERT(n_ < kMaxPayload);
+    v_[n_++] = v;
+  }
+  /// Resize to `n` fields; new fields are zero.
+  void resize(std::size_t n) {
+    CCREF_REQUIRE(n <= kMaxPayload);
+    for (std::size_t f = n_; f < n; ++f) v_[f] = 0;
+    n_ = static_cast<std::uint8_t>(n);
+  }
+
+  friend bool operator==(const Payload& a, const Payload& b) {
+    return a.n_ == b.n_ && std::equal(a.begin(), a.end(), b.begin());
+  }
+
+ private:
+  std::array<Value, kMaxPayload> v_{};
+  std::uint8_t n_ = 0;
+};
 
 }  // namespace ccref::ir

@@ -40,7 +40,7 @@ struct BusTxn {
   ir::MsgId msg = 0;          // the broadcast message
   std::uint8_t snooping = kNoSnoop;  // remote with an outstanding Snoop
   NodeSet pending;            // remotes not yet snooped
-  std::vector<ir::Value> payload;    // the request's payload, replayed to all
+  Payload payload;            // the request's payload, replayed to all
 
   static constexpr std::uint8_t kNoSnoop = 0xff;
 

@@ -1,6 +1,9 @@
 #include "runtime/async_system.hpp"
 
 #include <algorithm>
+#include <array>
+#include <compare>
+#include <memory_resource>
 
 #include "support/strings.hpp"
 
@@ -20,20 +23,21 @@ namespace {
 
 constexpr int kHome = -1;
 
-using Edges = std::vector<std::pair<AsyncState, Label>>;
-
 /// successors(): every enabled edge patches its own copy of the source
-/// state, and the rules keep enumerating.
+/// state, and the rules keep enumerating. The copy lands in a recycled slot
+/// of the caller's buffer, whose containers keep their capacity.
 struct Enumerate {
   const AsyncState& from;
   LabelMode mode;
-  Edges& out;
+  AsyncSystem::Edges& out;
 
   static bool allows(int, const std::string&) { return true; }
   static void blocked() {}
   AsyncState& target() {
-    out.emplace_back(from, Label{});
-    return out.back().first;
+    auto& [next, label] = out.next_slot();
+    next = from;
+    label.reset();
+    return next;
   }
   Label& label(int actor) {
     Label& l = out.back().second;
@@ -61,12 +65,7 @@ struct InPlace {
   }
   void blocked() { result = ExecResult::Blocked; }
   AsyncState& target() {
-    // Reset the label for reuse without giving up its strings' capacity.
-    l.text.clear();
-    l.completes_rendezvous = false;
-    l.sent_req = l.sent_ack = l.sent_nack = l.sent_repl = 0;
-    l.granted_to = -2;
-    l.decision.clear();
+    l.reset();
     return s;
   }
   Label& label(int actor) {
@@ -113,6 +112,13 @@ AsyncState AsyncSystem::initial() const {
 std::vector<std::pair<AsyncState, Label>> AsyncSystem::successors(
     const AsyncState& s, LabelMode mode) const {
   Edges out;
+  successors(s, mode, out);
+  return out.take();
+}
+
+void AsyncSystem::successors(const AsyncState& s, LabelMode mode,
+                             Edges& out) const {
+  out.clear();
   Enumerate sink{s, mode, out};
   for (int i = 0; i < n_; ++i)
     if (!s.up[i].empty()) deliver_to_home(s, i, sink);
@@ -120,33 +126,42 @@ std::vector<std::pair<AsyncState, Label>> AsyncSystem::successors(
     if (!s.down[i].empty()) deliver_to_remote(s, i, sink);
   home_local(s, sink);
   for (int i = 0; i < n_; ++i) remote_local(s, i, sink);
-  return out;
 }
 
 AsyncSystem::PorSuccessors AsyncSystem::successors_por(const AsyncState& s,
                                                        LabelMode mode) const {
   PorSuccessors out;
-  Enumerate sink{s, mode, out.all};
+  Edges all;
+  successors_por(s, mode, all, out.candidates);
+  out.all = all.take();
+  return out;
+}
+
+void AsyncSystem::successors_por(const AsyncState& s, LabelMode mode,
+                                 Edges& all,
+                                 std::vector<PorCandidate>& candidates) const {
+  all.clear();
+  candidates.clear();
+  Enumerate sink{s, mode, all};
   for (int i = 0; i < n_; ++i)
     if (!s.up[i].empty()) deliver_to_home(s, i, sink);
-  std::vector<std::uint32_t> delivery(n_, 0);
+  std::array<std::uint32_t, kMaxNodes> delivery{};
   for (int i = 0; i < n_; ++i)
     if (!s.down[i].empty()) {
-      delivery[i] = static_cast<std::uint32_t>(out.all.size());
+      delivery[i] = static_cast<std::uint32_t>(all.size());
       deliver_to_remote(s, i, sink);
       // Candidacy below relies on the down-head delivery being exactly one
       // edge: every deliver_to_remote case consumes the head one way.
-      CCREF_ASSERT(out.all.size() == delivery[i] + std::size_t{1});
+      CCREF_ASSERT(all.size() == delivery[i] + std::size_t{1});
     }
   home_local(s, sink);
   for (int i = 0; i < n_; ++i) {
-    auto first = static_cast<std::uint32_t>(out.all.size());
+    auto first = static_cast<std::uint32_t>(all.size());
     remote_local(s, i, sink);
     if (!s.down[i].empty() && !full(s.up[i]))
-      out.candidates.push_back(
-          {i, delivery[i], first, static_cast<std::uint32_t>(out.all.size())});
+      candidates.push_back(
+          {i, delivery[i], first, static_cast<std::uint32_t>(all.size())});
   }
-  return out;
 }
 
 // ---- in-place steps -----------------------------------------------------------
@@ -233,25 +248,20 @@ bool AsyncSystem::admit(const HomeMachine& hm, const AsyncState& s,
   return false;                                              // row T6
 }
 
-std::vector<ir::Value> AsyncSystem::eval_payload(const OutputGuard& og,
-                                                 const ir::Store& store,
-                                                 int actor, int target) const {
-  std::vector<ir::Value> payload;
-  payload.reserve(og.payload.size());
-  const EvalCtx ctx{actor};
-  if (og.bind_peer != ir::kNoVar) {
-    // The chosen target must be visible to payload expressions, but the live
-    // store may not be mutated before the rendezvous completes (the request
-    // can still be nacked and the §4 abstraction maps the transient state
-    // back to the unmutated communication state).
-    ir::Store scratch = store;
-    scratch.set(og.bind_peer, static_cast<ir::Value>(target));
-    for (const auto& e : og.payload)
-      payload.push_back(static_cast<ir::Value>(ir::eval(*e, scratch, ctx)));
-  } else {
-    for (const auto& e : og.payload)
-      payload.push_back(static_cast<ir::Value>(ir::eval(*e, store, ctx)));
-  }
+Payload AsyncSystem::eval_payload(const OutputGuard& og,
+                                  const ir::Store& store, int actor,
+                                  int target) const {
+  // The chosen target must be visible to payload expressions, but the live
+  // store may not be mutated before the rendezvous completes (the request
+  // can still be nacked and the §4 abstraction maps the transient state
+  // back to the unmutated communication state): the binder reads through
+  // the evaluation context instead.
+  const EvalCtx ctx{.self = actor,
+                    .bound = og.bind_peer,
+                    .bound_value = static_cast<ir::Value>(target)};
+  Payload payload;
+  for (const auto& e : og.payload)
+    payload.push_back(static_cast<ir::Value>(ir::eval(*e, store, ctx)));
   return payload;
 }
 
@@ -730,7 +740,7 @@ bool AsyncSystem::home_local(const AsyncState& s, Sink& sink) const {
         sink.blocked();
         continue;
       }
-      std::vector<ir::Value> payload = eval_payload(og, hm.store, kHome, ri);
+      const Payload payload = eval_payload(og, hm.store, kHome, ri);
       AsyncState& next = sink.target();
       Label& l = sink.label(kHome);
       l.decision = protocol().message(og.msg).name;
@@ -739,7 +749,7 @@ bool AsyncSystem::home_local(const AsyncState& s, Sink& sink) const {
         // guarantee the remote is waiting, so no ack and no transient.
         sink.send(next, false, ri,
                   Msg{.meta = Meta::Repl, .msg = og.msg,
-                      .src = Msg::kHomeSrc, .payload = std::move(payload)});
+                      .src = Msg::kHomeSrc, .payload = payload});
         apply_home_output(next.home, og, ri);
         if (sink.text())
           l.text = strf("h C2: repl %s -> r%d",
@@ -759,7 +769,7 @@ bool AsyncSystem::home_local(const AsyncState& s, Sink& sink) const {
       }
       sink.send(next, false, ri,
                 Msg{.meta = Meta::Req, .msg = og.msg, .src = Msg::kHomeSrc,
-                    .payload = std::move(payload)});
+                    .payload = payload});
       next.home.transient = true;
       next.home.t_guard = static_cast<std::uint8_t>(gi);
       next.home.t_target = ri;
@@ -944,7 +954,7 @@ bool AsyncSystem::remote_send(const AsyncState& s, int i, Sink& sink) const {
     sink.blocked();
     return false;
   }
-  std::vector<ir::Value> payload = eval_payload(og, rm.store, i, kHome);
+  const Payload payload = eval_payload(og, rm.store, i, kHome);
   AsyncState& next = sink.target();
   RemoteMachine& nrm = next.remotes[i];
   // Row C2: a buffered request from the home is deleted; the home will
@@ -953,8 +963,7 @@ bool AsyncSystem::remote_send(const AsyncState& s, int i, Sink& sink) const {
   nrm.buffer.reset();
   sink.send(next, true, i,
             Msg{.meta = Meta::Req, .msg = og.msg,
-                .src = static_cast<std::uint8_t>(i),
-                .payload = std::move(payload)});
+                .src = static_cast<std::uint8_t>(i), .payload = payload});
   Label& l = sink.label(i);
   l.decision = name;
   l.sent_req = 1;
@@ -1016,18 +1025,29 @@ void AsyncSystem::encode(const AsyncState& s, ByteSink& sink) const {
 }
 
 AsyncState AsyncSystem::decode(ByteSource& src) const {
-  const ir::Protocol& p = protocol();
   AsyncState s;
+  decode(src, s);
+  return s;
+}
+
+void AsyncSystem::decode(ByteSource& src, AsyncState& s) const {
+  const ir::Protocol& p = protocol();
+  // Stores are only (re)built when `s` has none of the right size yet;
+  // Store::decode overwrites every value.
+  auto store_for = [](ir::Store& store, const std::vector<ir::VarDecl>& vars)
+      -> ir::Store& {
+    if (store.size() != vars.size()) store = ir::Store(vars);
+    return store;
+  };
   s.home.transient = src.u8() != 0;
   s.home.state = static_cast<ir::StateId>(src.varint());
   s.home.t_guard = src.u8();
   s.home.t_target = src.u8();
-  s.home.store = ir::Store(p.home.vars);
-  s.home.store.decode(src);
+  store_for(s.home.store, p.home.vars).decode(src);
   s.home.buffer.resize(src.u8());
   for (Msg& m : s.home.buffer) m = Msg::decode(src);
   if (src.u8()) {
-    BusTxn t;
+    BusTxn& t = s.home.txn.emplace();
     t.src = src.u8();
     t.guard = src.u8();
     t.msg = src.u8();
@@ -1035,21 +1055,23 @@ AsyncState AsyncSystem::decode(ByteSource& src) const {
     t.pending = NodeSet(src.varint());
     t.payload.resize(src.u8());
     for (ir::Value& v : t.payload) v = src.varint();
-    s.home.txn = std::move(t);
+  } else {
+    s.home.txn.reset();
   }
   s.remotes.resize(n_);
   for (auto& r : s.remotes) {
     r.transient = src.u8() != 0;
     r.state = static_cast<ir::StateId>(src.varint());
-    r.store = ir::Store(p.remote.vars);
-    r.store.decode(src);
-    if (src.u8()) r.buffer = Msg::decode(src);
+    store_for(r.store, p.remote.vars).decode(src);
+    if (src.u8())
+      r.buffer = Msg::decode(src);
+    else
+      r.buffer.reset();
   }
   s.up.resize(n_);
-  for (auto& c : s.up) c = Channel::decode(src);
+  for (auto& c : s.up) c.decode(src);
   s.down.resize(n_);
-  for (auto& c : s.down) c = Channel::decode(src);
-  return s;
+  for (auto& c : s.down) c.decode(src);
 }
 
 std::string AsyncSystem::describe(const AsyncState& s) const {
@@ -1107,14 +1129,21 @@ std::string AsyncSystem::describe(const AsyncState& s) const {
 
 // ---- symmetry ------------------------------------------------------------------
 
-void AsyncSystem::permute(AsyncState& s, const ir::NodePerm& perm) const {
+void AsyncSystem::permute(AsyncState& s, ir::NodePermView perm) const {
   CCREF_REQUIRE(perm.size() == static_cast<std::size_t>(n_));
   const ir::Protocol& p = protocol();
 
+  // Move element i to perm[i] in place, one cycle of the permutation at a
+  // time: each swap settles the slot it writes.
   auto reorder = [&](auto& vec) {
-    std::remove_reference_t<decltype(vec)> out(n_);
-    for (int i = 0; i < n_; ++i) out[perm[i]] = std::move(vec[i]);
-    vec = std::move(out);
+    std::uint64_t settled = 0;
+    for (int start = 0; start < n_; ++start) {
+      if ((settled >> start) & 1) continue;
+      for (int j = perm[start]; j != start; j = perm[j]) {
+        std::swap(vec[start], vec[j]);
+        settled |= std::uint64_t{1} << j;
+      }
+    }
   };
   reorder(s.remotes);
   reorder(s.up);
@@ -1170,27 +1199,43 @@ void AsyncSystem::canonicalize(AsyncState& s) const {
   // interchangeable remotes produce byte-identical signatures. Node values
   // naming *other* remotes stay raw: sound, but only partially canonical
   // for protocols with cross-remote references (the shipped ones have none).
-  ByteSink sink;
+  //
+  // Every signature goes into one scratch, back to back (remote i's bytes
+  // end at sig_end[i]). Par workers canonicalize concurrently, so the
+  // scratch lives on this stack frame; only an oversized state spills it to
+  // the heap.
+  std::array<std::byte, 4096> stack_bytes;
+  std::pmr::monotonic_buffer_resource arena(stack_bytes.data(),
+                                            stack_bytes.size());
+  std::pmr::vector<std::byte> sig(&arena);
+  sig.reserve(stack_bytes.size());
+  std::array<std::uint32_t, kMaxNodes> sig_end;
+  auto u8 = [&](std::uint64_t v) {
+    sig.push_back(static_cast<std::byte>(static_cast<std::uint8_t>(v)));
+  };
+  auto varint = [&](std::uint64_t v) {  // the ByteSink::varint encoding
+    for (; v >= 0x80; v >>= 7) u8((v & 0x7f) | 0x80);
+    u8(v);
+  };
   auto sig_value = [&](ir::Type t, ir::Value val, int self) {
     switch (t) {
       case ir::Type::Node:
-        sink.varint(val == static_cast<ir::Value>(self)
-                        ? static_cast<ir::Value>(n_)
-                        : val);
+        varint(val == static_cast<ir::Value>(self) ? static_cast<ir::Value>(n_)
+                                                   : val);
         break;
       case ir::Type::NodeSet:
-        sink.u8((val >> self) & 1u);
-        sink.varint(val & ~(ir::Value{1} << self));
+        u8((val >> self) & 1u);
+        varint(val & ~(ir::Value{1} << self));
         break;
       default:
-        sink.varint(val);
+        varint(val);
     }
   };
   auto sig_msg = [&](const Msg& m, int self) {
-    sink.u8(static_cast<std::uint8_t>(m.meta));
-    sink.u8(m.msg);
+    u8(static_cast<std::uint8_t>(m.meta));
+    u8(m.msg);
     // 0xfe tags "sent by this remote": raw src values are node ids < 64.
-    sink.u8(m.src == static_cast<std::uint8_t>(self) ? 0xfe : m.src);
+    u8(m.src == static_cast<std::uint8_t>(self) ? 0xfe : m.src);
     if (m.meta != Meta::Req && m.meta != Meta::Repl &&
         m.meta != Meta::Snoop)
       return;
@@ -1200,53 +1245,59 @@ void AsyncSystem::canonicalize(AsyncState& s) const {
                 self);
   };
 
-  std::vector<std::vector<std::byte>> sig(n_);
   for (int i = 0; i < n_; ++i) {
-    sink.clear();
     const RemoteMachine& r = s.remotes[i];
-    sink.u8(r.transient ? 1 : 0);
-    sink.varint(r.state);
+    u8(r.transient ? 1 : 0);
+    varint(r.state);
     for (std::size_t v = 0; v < rvars.size(); ++v)
       sig_value(rvars[v].type, r.store.get(static_cast<ir::VarId>(v)), i);
-    sink.u8(r.buffer.has_value() ? 1 : 0);
+    u8(r.buffer.has_value() ? 1 : 0);
     if (r.buffer) sig_msg(*r.buffer, i);
     for (const Channel* c : {&s.up[i], &s.down[i]}) {
-      sink.u8(static_cast<std::uint8_t>(c->size()));
+      u8(c->size());
       for (const Msg& m : c->q) sig_msg(m, i);
     }
     for (std::size_t v = 0; v < hvars.size(); ++v) {
       const ir::Value val = s.home.store.get(static_cast<ir::VarId>(v));
       if (hvars[v].type == ir::Type::Node)
-        sink.u8(val == static_cast<ir::Value>(i) ? 1 : 0);
+        u8(val == static_cast<ir::Value>(i) ? 1 : 0);
       else if (hvars[v].type == ir::Type::NodeSet)
-        sink.u8((val >> i) & 1u);
+        u8((val >> i) & 1u);
     }
-    sink.u8(s.home.t_target == static_cast<std::uint8_t>(i) ? 1 : 0);
+    u8(s.home.t_target == static_cast<std::uint8_t>(i) ? 1 : 0);
     if (s.home.txn) {
       const BusTxn& t = *s.home.txn;
-      sink.u8(t.src == static_cast<std::uint8_t>(i) ? 1 : 0);
-      sink.u8(t.snooping == static_cast<std::uint8_t>(i) ? 1 : 0);
-      sink.u8(t.pending.contains(static_cast<NodeId>(i)) ? 1 : 0);
+      u8(t.src == static_cast<std::uint8_t>(i) ? 1 : 0);
+      u8(t.snooping == static_cast<std::uint8_t>(i) ? 1 : 0);
+      u8(t.pending.contains(static_cast<NodeId>(i)) ? 1 : 0);
       const auto& types = p.message(t.msg).payload;
       for (std::size_t f = 0; f < t.payload.size(); ++f)
         sig_value(f < types.size() ? types[f] : ir::Type::Int, t.payload[f],
                   i);
     }
     for (const Msg& m : s.home.buffer)
-      sink.u8(m.src == static_cast<std::uint8_t>(i) ? 1 : 0);
-    sig[i] = std::vector<std::byte>(sink.bytes().begin(), sink.bytes().end());
+      u8(m.src == static_cast<std::uint8_t>(i) ? 1 : 0);
+    sig_end[i] = static_cast<std::uint32_t>(sig.size());
   }
 
-  std::vector<int> order(n_);
-  for (int i = 0; i < n_; ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    return sig[a] != sig[b] ? sig[a] < sig[b] : a < b;
+  auto sig_of = [&](int i) {
+    const std::uint32_t begin = i == 0 ? 0 : sig_end[i - 1];
+    return std::span<const std::byte>(sig.data() + begin, sig_end[i] - begin);
+  };
+  std::array<std::uint8_t, kMaxNodes> order;
+  for (int i = 0; i < n_; ++i) order[i] = static_cast<std::uint8_t>(i);
+  std::sort(order.begin(), order.begin() + n_, [&](int a, int b) {
+    const auto sa = sig_of(a), sb = sig_of(b);
+    const auto c = std::lexicographical_compare_three_way(
+        sa.begin(), sa.end(), sb.begin(), sb.end());
+    return c != 0 ? c < 0 : a < b;
   });
 
-  ir::NodePerm perm(n_);
+  std::array<std::uint8_t, kMaxNodes> perm;
   for (int pos = 0; pos < n_; ++pos)
     perm[order[pos]] = static_cast<std::uint8_t>(pos);
-  if (!ir::is_identity(perm)) permute(s, perm);
+  const ir::NodePermView view(perm.data(), static_cast<std::size_t>(n_));
+  if (!ir::is_identity(view)) permute(s, view);
 }
 
 }  // namespace ccref::runtime

@@ -18,6 +18,7 @@
 #include "ir/permute.hpp"
 #include "refine/refined.hpp"
 #include "runtime/async_state.hpp"
+#include "sem/edges.hpp"
 #include "sem/label.hpp"
 #include "support/contracts.hpp"
 
@@ -89,6 +90,11 @@ class AsyncSystem {
   [[nodiscard]] std::vector<std::pair<State, sem::Label>> successors(
       const State& s, sem::LabelMode mode) const;
 
+  /// The engines' form of the same enumeration: refill the caller's
+  /// recycled edge buffer (sem/edges.hpp) instead of returning new vectors.
+  using Edges = sem::EdgeBuffer<State>;
+  void successors(const State& s, sem::LabelMode mode, Edges& out) const;
+
   /// successors() plus the per-edge footprint structure the ample-set
   /// partial-order reduction needs (verify/por.hpp). `all` is the exact
   /// successors() enumeration (same edges, same order); each Candidate names
@@ -99,17 +105,17 @@ class AsyncSystem {
   /// exists and FIFO-head stability makes it commute with foreign
   /// tail-pushes) and up[process] has a free slot (so no member is
   /// capacity-blocked and foreign pops of up[process] only widen the slack).
+  using PorCandidate = sem::PorCandidate;
   struct PorSuccessors {
-    struct Candidate {
-      int process;             // the remote whose footprint the set covers
-      std::uint32_t delivery;  // index into `all`: down-head delivery
-      std::uint32_t local_begin, local_end;  // remote_local range in `all`
-    };
+    using Candidate = PorCandidate;
     std::vector<std::pair<State, sem::Label>> all;
     std::vector<Candidate> candidates;
   };
   [[nodiscard]] PorSuccessors successors_por(const State& s,
                                              sem::LabelMode mode) const;
+  /// Buffer form: refills `all` and `candidates` (capacity kept).
+  void successors_por(const State& s, sem::LabelMode mode, Edges& all,
+                      std::vector<PorCandidate>& candidates) const;
 
   /// COLLAPSE dictionary classes (verify/collapse.hpp): encode() closes one
   /// component per class after the home machine, each remote machine, and
@@ -122,6 +128,9 @@ class AsyncSystem {
 
   void encode(const State& s, ByteSink& sink) const;
   [[nodiscard]] State decode(ByteSource& src) const;
+  /// Decode into `out`, overwriting every field and keeping its heap
+  /// capacity (the engines' reused expansion state).
+  void decode(ByteSource& src, State& out) const;
   [[nodiscard]] std::string describe(const State& s) const;
 
   /// Apply a remote-index permutation (perm[old] == new) to `s`: reorder the
@@ -129,7 +138,7 @@ class AsyncSystem {
   /// node-indexed fact — message src fields, Node/NodeSet message payloads,
   /// store variables, and the home's pending transient target — through the
   /// same permutation.
-  void permute(State& s, const ir::NodePerm& perm) const;
+  void permute(State& s, ir::NodePermView perm) const;
 
   /// Rewrite `s` in place to its orbit's canonical representative under
   /// remote permutation (verify::SymmetryMode::Canonical).
@@ -210,7 +219,7 @@ class AsyncSystem {
                            const Msg& m, bool in_transient) const;
   /// Evaluate an output guard's payload with the target visible to the
   /// expression (without mutating the live store).
-  [[nodiscard]] std::vector<ir::Value> eval_payload(
+  [[nodiscard]] Payload eval_payload(
       const ir::OutputGuard& og, const ir::Store& store, int actor,
       int target) const;
   /// Apply a completed home output transition (bind target, action, move).

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "ir/types.hpp"
@@ -36,11 +37,14 @@ enum class Meta : std::uint8_t { Req, Ack, Nack, Repl, Snoop, SnoopAck };
   return "?";
 }
 
+/// Inline payload (ir/types.hpp), so a Msg copies without the heap.
+using Payload = ir::Payload;
+
 struct Msg {
   Meta meta = Meta::Req;
   ir::MsgId msg = 0;      // meaningful for Req/Repl
   std::uint8_t src = 0;   // sender: node id, or kHomeSrc for the home
-  std::vector<ir::Value> payload{};
+  Payload payload{};
 
   static constexpr std::uint8_t kHomeSrc = 0xff;
 
@@ -65,6 +69,8 @@ struct Msg {
   }
 };
 
+static_assert(std::is_trivially_copyable_v<Msg>);
+
 /// Reliable, in-order, point-to-point FIFO channel (§2.2's network model).
 struct Channel {
   std::vector<Msg> q;  // front at index 0; channels hold only a few messages
@@ -88,11 +94,10 @@ struct Channel {
     for (const Msg& m : q) m.encode(sink);
   }
 
-  static Channel decode(ByteSource& src) {
-    Channel c;
-    c.q.resize(src.u8());
-    for (Msg& m : c.q) m = Msg::decode(src);
-    return c;
+  /// Overwrite the contents with a decoded channel, keeping the capacity.
+  void decode(ByteSource& src) {
+    q.resize(src.u8());
+    for (Msg& m : q) m = Msg::decode(src);
   }
 };
 

@@ -54,6 +54,17 @@ struct Label {
   /// simulator matches this against pending workload events.
   std::string decision;
 
+  /// Back to a default Label, keeping the strings' capacity (recycled
+  /// labels in an edge buffer, the in-place steps' caller-owned label).
+  void reset() {
+    text.clear();
+    completes_rendezvous = false;
+    sent_req = sent_ack = sent_nack = sent_repl = 0;
+    actor = -2;
+    granted_to = -2;
+    decision.clear();
+  }
+
   [[nodiscard]] int messages_sent() const {
     return sent_req + sent_ack + sent_nack + sent_repl;
   }

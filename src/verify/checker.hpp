@@ -7,6 +7,9 @@
 //   void encode(const State&, ByteSink&) const;
 //   State decode(ByteSource&) const;
 //   std::string describe(const State&) const;
+// Systems that also fill a recycled edge buffer and decode into an existing
+// state (HasEdgeBuffer, HasDecodeInto) expand states without touching the
+// heap; the others fall back to the by-value calls.
 //
 // Exploration is breadth-first using the visited set as the queue, so
 // counter-example traces are shortest. A memory budget bounds the visited
@@ -21,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "sem/edges.hpp"
 #include "sem/label.hpp"
 #include "support/bytes.hpp"
 #include "verify/collapse.hpp"
@@ -156,6 +160,22 @@ concept HasLabelMode = requires(const Sys& sys, const typename Sys::State& s) {
   { sys.successors(s, sem::LabelMode::Quiet) };
 };
 
+/// Does the system refill a caller-owned edge buffer (sem/edges.hpp)?
+/// Systems without it (sem::RendezvousSystem, custom test harnesses) return
+/// vectors, which the engines move into their buffer.
+template <class Sys>
+concept HasEdgeBuffer = requires(const Sys& sys, const typename Sys::State& s,
+                                 sem::EdgeBuffer<typename Sys::State>& out) {
+  { sys.successors(s, sem::LabelMode::Quiet, out) };
+};
+
+/// Does the system decode into an existing state, keeping its capacity?
+template <class Sys>
+concept HasDecodeInto = requires(const Sys& sys, ByteSource& src,
+                                 typename Sys::State& out) {
+  { sys.decode(src, out) };
+};
+
 /// Does the system offer orbit canonicalization? Systems without it run
 /// with SymmetryMode::Canonical as a no-op.
 template <class Sys>
@@ -170,6 +190,16 @@ template <class Sys>
 concept HasPor = requires(const Sys& sys, const typename Sys::State& s) {
   { sys.successors_por(s, sem::LabelMode::Quiet) };
 };
+
+/// Does the system also refill the caller's buffers in successors_por?
+template <class Sys>
+concept HasPorBuffer =
+    HasEdgeBuffer<Sys> &&
+    requires(const Sys& sys, const typename Sys::State& s,
+             sem::EdgeBuffer<typename Sys::State>& all,
+             std::vector<sem::PorCandidate>& candidates) {
+      { sys.successors_por(s, sem::LabelMode::Quiet, all, candidates) };
+    };
 
 /// The chosen ample set as edge indices into the full enumeration: the
 /// down-head delivery plus the [local_begin, local_end) local range.
@@ -187,15 +217,17 @@ struct AmpleEdges {
 /// edges). Smallest edge count first, lowest process id on ties, so the
 /// sequential and parallel engines make the same deterministic choice.
 /// Returns nullopt when no candidate qualifies: fall back to full expansion.
-template <class PS>
-std::optional<AmpleEdges> pick_ample(const PS& ps, std::uint64_t visible) {
-  const typename PS::Candidate* best = nullptr;
+template <class Candidates>
+std::optional<AmpleEdges> pick_ample(const Candidates& candidates,
+                                     std::size_t n_edges,
+                                     std::uint64_t visible) {
+  const typename Candidates::value_type* best = nullptr;
   std::size_t best_edges = 0;
-  for (const auto& c : ps.candidates) {
+  for (const auto& c : candidates) {
     if (c.process >= 0 && c.process < 64 && ((visible >> c.process) & 1))
       continue;
     std::size_t edges = 1 + (c.local_end - c.local_begin);
-    if (edges >= ps.all.size()) continue;
+    if (edges >= n_edges) continue;
     if (!best || edges < best_edges ||
         (edges == best_edges && c.process < best->process)) {
       best = &c;
@@ -239,34 +271,62 @@ void maybe_canonicalize(const Sys& sys, typename Sys::State& s,
   }
 }
 
-/// Enumerate successors, skipping Label::text materialization when the
-/// system supports it and the caller doesn't need text.
+/// One engine thread's reused expansion scratch: the state being expanded
+/// (decoded in place) and its recycled edge buffer. The views handed out
+/// are valid until the next expansion (DESIGN.md §4.11). Each engine owns
+/// one per search thread.
 template <class Sys>
-auto successors_of(const Sys& sys, const typename Sys::State& s,
-                   sem::LabelMode mode) {
-  if constexpr (HasLabelMode<Sys>) {
-    return sys.successors(s, mode);
+struct Expansion {
+  explicit Expansion(const Sys& sys) : state(sys.initial()) {}
+
+  typename Sys::State state;
+  sem::EdgeBuffer<typename Sys::State> edges;
+  std::vector<sem::PorCandidate> candidates;
+  std::optional<AmpleEdges> amp;  // ample set to expand first, if any
+};
+
+/// Decode `src` into `x.state`, in place when the system supports it.
+template <class Sys>
+void decode_into(const Sys& sys, ByteSource& src, Expansion<Sys>& x) {
+  if constexpr (HasDecodeInto<Sys>) {
+    sys.decode(src, x.state);
   } else {
-    return sys.successors(s);
+    x.state = sys.decode(src);
   }
 }
 
-/// Full successor enumeration of `s`; under PorMode::Ample on a system
-/// with successors_por, `amp` also receives the ample set to expand first
-/// (left empty otherwise: expand everything).
+/// Fill `x.edges` with the full successor enumeration of `x.state`,
+/// skipping Label::text when the system supports it and `mode` is Quiet.
+/// Under PorMode::Ample on a system with successors_por, `x.amp` also
+/// receives the ample set to expand first (empty otherwise: expand
+/// everything). Returns the live edges.
 template <class Sys>
-auto successors_with_ample(const Sys& sys, const typename Sys::State& s,
-                           sem::LabelMode mode, PorMode por,
-                           std::uint64_t visible,
-                           std::optional<AmpleEdges>& amp) {
-  if constexpr (HasPor<Sys>) {
+std::span<std::pair<typename Sys::State, sem::Label>> successors_with_ample(
+    const Sys& sys, Expansion<Sys>& x, sem::LabelMode mode, PorMode por,
+    std::uint64_t visible) {
+  x.amp.reset();
+  if constexpr (HasPorBuffer<Sys>) {
     if (por == PorMode::Ample) {
-      auto ps = sys.successors_por(s, mode);
-      amp = pick_ample(ps, visible);
-      return std::move(ps.all);
+      sys.successors_por(x.state, mode, x.edges, x.candidates);
+      x.amp = pick_ample(x.candidates, x.edges.size(), visible);
+      return x.edges.view();
+    }
+  } else if constexpr (HasPor<Sys>) {
+    if (por == PorMode::Ample) {
+      auto ps = sys.successors_por(x.state, mode);
+      x.amp = pick_ample(ps.candidates, ps.all.size(), visible);
+      x.edges.assign(std::move(ps.all));
+      return x.edges.view();
     }
   }
-  return successors_of(sys, s, mode);
+  if constexpr (HasEdgeBuffer<Sys>) {
+    sys.successors(x.state, mode, x.edges);
+  } else if constexpr (HasLabelMode<Sys>) {
+    x.edges.assign(sys.successors(x.state, mode));
+  } else {
+    x.edges.assign(sys.successors(x.state));
+  }
+  return x.edges.view();
 }
 
 /// Per-step match for stored encodings: size, then hash, then bytes — so
@@ -399,7 +459,8 @@ enum class BfsOutcome : std::uint8_t {
 ///                                             (succs is always the FULL
 ///                                             enumeration, even under POR,
 ///                                             so deadlock detection stays
-///                                             exact)
+///                                             exact; a view valid until
+///                                             the next expansion)
 ///   on_edge(from, state, succ, label)         per edge, on the *concrete*
 ///                                             successor (pre-canonicalize;
 ///                                             edge checks need this)
@@ -421,6 +482,7 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
                      std::uint64_t por_visible, OnExpand&& on_expand,
                      OnEdge&& on_edge, OnInsert&& on_insert) {
   ComponentSink sink;  // reused across every encode below
+  Expansion<Sys> x(sys);
   {
     auto root = sys.initial();
     maybe_canonicalize(sys, root, symmetry);
@@ -451,7 +513,8 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
       if (rr == ResolveOutcome::Drained) break;
     }
     ByteSource src(seen.at(cursor));
-    auto state = sys.decode(src);
+    decode_into(sys, src, x);
+    const auto& state = x.state;
 
     bool revisit = false;
     auto step = [&](auto& succ, sem::Label& label) {
@@ -472,12 +535,10 @@ BfsOutcome bfs_reach(const Sys& sys, CollapsedStateSet& seen,
       return BfsOutcome::Complete;  // keep going
     };
 
-    std::optional<AmpleEdges> amp;
-    auto succs =
-        successors_with_ample(sys, state, mode, por, por_visible, amp);
+    const auto succs = successors_with_ample(sys, x, mode, por, por_visible);
     if (!on_expand(cursor, state, succs)) return BfsOutcome::Stopped;
     auto r = BfsOutcome::Complete;
-    expand_ample(succs.size(), amp, revisit, [&](std::size_t e) {
+    expand_ample(succs.size(), x.amp, revisit, [&](std::size_t e) {
       r = step(succs[e].first, succs[e].second);
       return r == BfsOutcome::Complete;
     });

@@ -319,23 +319,24 @@ template <class Sys>
 
   // ---- product BFS -------------------------------------------------------
   ComponentSink enc;  // reused per-system-edge encoding
+  detail::Expansion<Sys> x(sys);
   for (std::uint32_t cursor = 0; cursor < seen.size(); ++cursor) {
     edge_start.push_back(edges.size());
     const std::uint32_t q = aut_of[cursor];
     ByteSource src(seen.at(cursor));
     (void)src.u32();  // skip the automaton prefix
-    auto state = sys.decode(src);
+    detail::decode_into(sys, src, x);
+    const auto& state = x.state;
 
     // Under an engaged reduction the candidate choice depends only on the
     // system component, so two product states sharing a system state expand
     // the same ample set; the cycle proviso (revisit below) is evaluated on
     // product inserts, where the cycles we must not starve live.
-    std::optional<detail::AmpleEdges> amp;
-    auto succs = detail::successors_with_ample(
-        sys, state, sem::LabelMode::Quiet, por, opts.por_visible, amp);
+    const auto succs = detail::successors_with_ample(
+        sys, x, sem::LabelMode::Quiet, por, opts.por_visible);
 
     std::uint64_t enabled = 0, genabled = 0;
-    for (auto& [succ, label] : succs) {
+    for (const auto& [succ, label] : succs) {
       int p = proc_bit(label.actor);
       if (p >= 0) enabled |= 1ull << p;
       if (strong && label.completes_rendezvous && label.granted_to >= 0 &&
@@ -406,7 +407,7 @@ template <class Sys>
         sys.encode(succ, enc);
         return push_product(v, enc.bytes(), enc.marks(), fair, granted);
       };
-      if (!detail::expand_ample(succs.size(), amp, revisit, emit))
+      if (!detail::expand_ample(succs.size(), x.amp, revisit, emit))
         return finish(Status::Unfinished);
     }
     if (!charge_aux()) return finish(Status::Unfinished);

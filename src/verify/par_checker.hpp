@@ -45,6 +45,7 @@
 #include <thread>
 #include <vector>
 
+#include "support/block_pool.hpp"
 #include "support/spin.hpp"
 #include "support/work_steal_deque.hpp"
 #include "verify/checker.hpp"
@@ -100,16 +101,17 @@ template <class Sys>
   ShardedStateSet seen(opts.memory_limit, jobs,
                        /*track_parents=*/opts.want_trace, plan.storage);
 
-  // A frontier item carries its own copy of the encoded state: under
-  // Collapse, reading a state back out of the set is not concurrent-safe
-  // (and in Off mode the copy costs less than the cache traffic of
-  // re-reading a remote shard's pool).
-  struct Item {
-    ShardedStateSet::Ref ref;
-    std::vector<std::byte> bytes;
-  };
+  // A frontier item carries its own copy of the encoded state (header:
+  // the state's Ref): under Collapse, reading a state back out of the set
+  // is not concurrent-safe (and in Off mode the copy costs less than the
+  // cache traffic of re-reading a remote shard's pool). Expanded items are
+  // recycled, so a warm worker allocates only at a new frontier peak.
+  using Items = BlockPool<ShardedStateSet::Ref>;
+  using Item = Items::Block;
+  Items items;
   struct Worker {
     WorkStealDeque<Item*> frontier;
+    Items::Cache spares;
     std::uint64_t transitions = 0;
     ComponentSink sink;  // reused for every encode this worker performs
   };
@@ -176,16 +178,16 @@ template <class Sys>
       if (!msg.empty()) {
         report(Status::InvariantViolated, ins.ref, std::move(msg));
       } else {
-        auto b = sink.bytes();
         in_flight.store(1, std::memory_order_relaxed);
         workers[0]->frontier.push(
-            new Item{ins.ref, std::vector<std::byte>(b.begin(), b.end())});
+            items.make(workers[0]->spares, ins.ref, sink.bytes()).release());
       }
     }
   }
 
   auto worker_fn = [&](unsigned id) {
     Worker& self = *workers[id];
+    detail::Expansion<Sys> x(sys);
     SpinBackoff idle;
     // States admitted by external resolve passes (inline ripe merges in
     // insert, or full drains below) land here and become frontier items.
@@ -206,13 +208,13 @@ template <class Sys>
         // Count BEFORE the item becomes stealable — the termination
         // detector's invariant depends on this order.
         in_flight.fetch_add(1, std::memory_order_release);
-        self.frontier.push(new Item{f.ref, std::move(f.bytes)});
+        self.frontier.push(items.make(self.spares, f.ref, f.bytes).release());
       }
       fresh.clear();
     };
 
     while (!stop.load(std::memory_order_acquire)) {
-      std::unique_ptr<Item> item(next_item());
+      Items::Ptr item(next_item());
       if (!item) {
         if (in_flight.load(std::memory_order_acquire) == 0) {
           if (!external) return;
@@ -239,8 +241,9 @@ template <class Sys>
         continue;
       }
       idle.reset();
-      ByteSource src(item->bytes);
-      auto state = sys.decode(src);
+      ByteSource src(item->bytes());
+      detail::decode_into(sys, src, x);
+      const auto& state = x.state;
       // External tier: inserts answer Deferred, so invariants cannot be
       // checked at insertion. Every admitted state is expanded exactly
       // once — check here instead (the root is also checked up front;
@@ -248,7 +251,7 @@ template <class Sys>
       if (external && opts.invariant) {
         std::string msg = opts.invariant(state);
         if (!msg.empty()) {
-          report(Status::InvariantViolated, item->ref, std::move(msg));
+          report(Status::InvariantViolated, item->header, std::move(msg));
           return;
         }
       }
@@ -259,7 +262,7 @@ template <class Sys>
         if (opts.edge_check) {
           std::string msg = opts.edge_check(state, succ, label);
           if (!msg.empty()) {
-            report(Status::InvariantViolated, item->ref,
+            report(Status::InvariantViolated, item->header,
                    "edge '" + label.text + "': " + msg);
             return false;
           }
@@ -268,7 +271,7 @@ template <class Sys>
         self.sink.clear();
         sys.encode(succ, self.sink);
         auto ins = seen.insert(self.sink.bytes(), self.sink.marks(),
-                               ShardedStateSet::pack(item->ref),
+                               ShardedStateSet::pack(item->header),
                                external ? &fresh : nullptr);
         if (ins.outcome == StateSet::Outcome::Exhausted) {
           report(Status::Unfinished, {}, std::string());
@@ -294,30 +297,29 @@ template <class Sys>
           // Count BEFORE the item becomes stealable — the termination
           // detector's invariant depends on this order.
           in_flight.fetch_add(1, std::memory_order_release);
-          auto b = self.sink.bytes();
           self.frontier.push(
-              new Item{ins.ref, std::vector<std::byte>(b.begin(), b.end())});
+              items.make(self.spares, ins.ref, self.sink.bytes()).release());
         }
         return true;
       };
 
-      std::optional<detail::AmpleEdges> amp;
-      auto succs = detail::successors_with_ample(sys, state, mode, por,
-                                                 /*visible=*/0, amp);
+      const auto succs = detail::successors_with_ample(sys, x, mode, por,
+                                                       /*visible=*/0);
       if (succs.empty() && opts.detect_deadlock) {
-        report(Status::Deadlock, item->ref,
+        report(Status::Deadlock, item->header,
                "deadlock: no enabled transition in " + sys.describe(state));
         return;
       }
       // Conservative C3 under parallelism: a racing insert of an ample
       // successor by another worker reads back AlreadyPresent here, so
       // races only cause extra full expansions, never a missed one.
-      if (!detail::expand_ample(succs.size(), amp, revisit,
+      if (!detail::expand_ample(succs.size(), x.amp, revisit,
                                 [&](std::size_t e) {
                                   return do_edge(succs[e].first,
                                                  succs[e].second);
                                 }))
         return;
+      items.recycle(self.spares, std::move(item));
       in_flight.fetch_sub(1, std::memory_order_acq_rel);
     }
   };
@@ -330,7 +332,7 @@ template <class Sys>
   // Early-stop runs leave unexpanded items behind; workers are joined, so
   // draining via owner pops is safe from this thread.
   for (auto& w : workers)
-    while (Item* leftover = w->frontier.pop()) delete leftover;
+    while (Item* leftover = w->frontier.pop()) Items::Free{}(leftover);
 
   result.status = failed ? fail_status : Status::Ok;
   detail::record_storage(result, seen, plan);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <unordered_set>
 
 #include "protocols/invalidate.hpp"
@@ -210,6 +211,149 @@ TEST(Async, EnumerationDigest) {
       << "invalidate n=3";
   EXPECT_EQ(enumeration_digest(AsyncSystem(rmesi, 2)), 0x5a44ba3aae9f9d90ull)
       << "mesi n=2";
+}
+
+// ---- recycled edge buffers and in-place decode -------------------------------
+
+/// How much a state could leave behind when overwritten: its channel
+/// contents and engaged buffers.
+std::size_t stale_parts(const AsyncState& s) {
+  std::size_t n = s.home.buffer.size() + (s.home.txn ? 1 : 0);
+  for (const auto& r : s.remotes) n += r.buffer ? 1 : 0;
+  for (std::size_t i = 0; i < s.up.size(); ++i)
+    n += s.up[i].size() + s.down[i].size();
+  return n;
+}
+
+/// The reachable state maximizing `score`.
+template <class Score>
+const AsyncState& dirtiest(const std::vector<AsyncState>& states,
+                           Score&& score) {
+  return *std::max_element(
+      states.begin(), states.end(),
+      [&](const AsyncState& a, const AsyncState& b) {
+        return score(a) < score(b);
+      });
+}
+
+void expect_same_edges(
+    const AsyncSystem& sys, std::span<const AsyncSystem::Edges::Edge> got,
+    const std::vector<std::pair<AsyncState, sem::Label>>& want,
+    const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t e = 0; e < got.size(); ++e) {
+    const auto& [gs, gl] = got[e];
+    const auto& [ws, wl] = want[e];
+    ASSERT_EQ(gs, ws) << what << " edge " << e;
+    ASSERT_EQ(encoding(sys, gs), encoding(sys, ws)) << what << " edge " << e;
+    EXPECT_EQ(gl.text, wl.text) << what << " edge " << e;
+    EXPECT_EQ(gl.decision, wl.decision) << what << " edge " << e;
+    EXPECT_EQ(gl.completes_rendezvous, wl.completes_rendezvous) << what;
+    EXPECT_EQ(gl.sent_req, wl.sent_req) << what << " edge " << e;
+    EXPECT_EQ(gl.sent_ack, wl.sent_ack) << what << " edge " << e;
+    EXPECT_EQ(gl.sent_nack, wl.sent_nack) << what << " edge " << e;
+    EXPECT_EQ(gl.sent_repl, wl.sent_repl) << what << " edge " << e;
+    EXPECT_EQ(gl.actor, wl.actor) << what << " edge " << e;
+    EXPECT_EQ(gl.granted_to, wl.granted_to) << what << " edge " << e;
+  }
+}
+
+/// On every reachable state, a buffer last filled (with full labels) from
+/// the dirtiest reachable state must refill to exactly the by-value
+/// enumeration: same edges, states, encodings and every Label field, in
+/// both label modes, and the same POR candidates.
+void expect_dirty_fill_matches(const AsyncSystem& sys,
+                               const std::string& what) {
+  const auto states = reachable(sys);
+  // Most edges first, then the most stale parts.
+  const AsyncState& dirty = dirtiest(states, [&](const AsyncState& s) {
+    return sys.successors(s, sem::LabelMode::Quiet).size() * 1000 +
+           stale_parts(s);
+  });
+  AsyncSystem::Edges buf;
+  std::vector<AsyncSystem::PorCandidate> candidates;
+  for (const AsyncState& s : states) {
+    for (auto mode : {sem::LabelMode::Full, sem::LabelMode::Quiet}) {
+      const std::string at =
+          what + (mode == sem::LabelMode::Full ? " full " : " quiet ") +
+          sys.describe(s);
+      sys.successors(dirty, sem::LabelMode::Full, buf);
+      sys.successors(s, mode, buf);
+      expect_same_edges(sys, buf.view(), sys.successors(s, mode), at);
+
+      sys.successors_por(dirty, sem::LabelMode::Full, buf, candidates);
+      sys.successors_por(s, mode, buf, candidates);
+      const auto por = sys.successors_por(s, mode);
+      expect_same_edges(sys, buf.view(), por.all, at + " (por)");
+      ASSERT_EQ(candidates.size(), por.candidates.size()) << at;
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        EXPECT_EQ(candidates[c].process, por.candidates[c].process) << at;
+        EXPECT_EQ(candidates[c].delivery, por.candidates[c].delivery) << at;
+        EXPECT_EQ(candidates[c].local_begin, por.candidates[c].local_begin)
+            << at;
+        EXPECT_EQ(candidates[c].local_end, por.candidates[c].local_end) << at;
+      }
+    }
+  }
+}
+
+TEST(AsyncBuffers, DirtyFillMatchesByValueMigratory) {
+  const auto p = protocols::make_migratory();
+  const auto rp = refine::refine(p);
+  expect_dirty_fill_matches(AsyncSystem(rp, 3), "migratory n=3");
+}
+
+TEST(AsyncBuffers, DirtyFillMatchesByValueInvalidate) {
+  const auto p = protocols::make_invalidate();
+  const auto rp = refine::refine(p);
+  expect_dirty_fill_matches(AsyncSystem(rp, 3), "invalidate n=3");
+}
+
+TEST(AsyncBuffers, DirtyFillMatchesByValueMesiBus) {
+  const auto p = protocols::make_mesi();
+  const auto rp = refine::refine(p);
+  const AsyncSystem sys(rp, 2);
+  // The dirty slots must include an engaged bus transaction.
+  const auto states = reachable(sys);
+  ASSERT_TRUE(std::any_of(states.begin(), states.end(),
+                          [](const AsyncState& s) { return s.home.txn; }));
+  expect_dirty_fill_matches(sys, "mesi n=2");
+}
+
+/// decode(src, out) must equal a fresh decode for every reachable state,
+/// whatever `out` held: the reachable state with the most stale parts, the
+/// next state in BFS order, or nothing at all.
+void expect_decode_into_matches(const AsyncSystem& sys,
+                                const std::string& what) {
+  const auto states = reachable(sys);
+  const AsyncState& dirty = dirtiest(states, stale_parts);
+  for (std::size_t k = 0; k < states.size(); ++k) {
+    const AsyncState& s = states[k];
+    ByteSink sink;
+    sys.encode(s, sink);
+    ByteSource fresh_src(sink.bytes());
+    const AsyncState fresh = sys.decode(fresh_src);
+    for (AsyncState into :
+         {dirty, states[(k + 1) % states.size()], AsyncState{}}) {
+      ByteSource src(sink.bytes());
+      sys.decode(src, into);
+      EXPECT_TRUE(src.exhausted()) << what;
+      ASSERT_EQ(into, fresh) << what << ": " << sys.describe(s);
+      ASSERT_EQ(encoding(sys, into), encoding(sys, s)) << what;
+    }
+  }
+}
+
+TEST(AsyncBuffers, DecodeIntoDirtyStateMatchesFreshDecode) {
+  const auto mig = protocols::make_migratory();
+  const auto inv = protocols::make_invalidate();
+  const auto mesi = protocols::make_mesi();
+  const auto rmig = refine::refine(mig);
+  const auto rinv = refine::refine(inv);
+  const auto rmesi = refine::refine(mesi);
+  expect_decode_into_matches(AsyncSystem(rmig, 3), "migratory n=3");
+  expect_decode_into_matches(AsyncSystem(rinv, 3), "invalidate n=3");
+  expect_decode_into_matches(AsyncSystem(rmesi, 2), "mesi n=2");
 }
 
 // ---- in-place steps ----------------------------------------------------------

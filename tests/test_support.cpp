@@ -1,5 +1,5 @@
 // Unit tests for src/support: hashing, node sets, RNG, byte codec, strings,
-// tables, CLI parsing.
+// tables, CLI parsing, recycled blocks.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -7,6 +7,7 @@
 #include <set>
 #include <sstream>
 
+#include "support/block_pool.hpp"
 #include "support/bytes.hpp"
 #include "support/hash.hpp"
 #include "support/node_set.hpp"
@@ -524,6 +525,56 @@ TEST(Cli, SizeFlagRejectsBadValueWithDiagnostic) {
   EXPECT_EXIT((void)cli.size_flag("mem", "64M", 0,
                                   std::numeric_limits<std::uint64_t>::max()),
               testing::ExitedWithCode(2), "mem");
+}
+
+// ---- block pool ----------------------------------------------------------
+
+std::vector<std::byte> bytes_of(std::size_t n, std::uint8_t fill) {
+  return std::vector<std::byte>(n, static_cast<std::byte>(fill));
+}
+
+TEST(BlockPool, RecyclesBlocksThatFitAndGrowsThoseThatDoNot) {
+  BlockPool<int> pool;
+  BlockPool<int>::Cache cache;
+  const auto a = bytes_of(20, 1);
+  auto b = pool.make(cache, 7, a);
+  EXPECT_EQ(b->header, 7);
+  EXPECT_EQ(b->capacity, 32u);  // rounded up to 16 bytes
+  EXPECT_TRUE(std::ranges::equal(b->bytes(), a));
+  const auto* first = b.get();
+  pool.recycle(cache, std::move(b));
+
+  const auto c = bytes_of(30, 2);  // fits the recycled capacity
+  auto d = pool.make(cache, 8, c);
+  EXPECT_EQ(d.get(), first);
+  EXPECT_EQ(d->header, 8);
+  EXPECT_TRUE(std::ranges::equal(d->bytes(), c));
+  pool.recycle(cache, std::move(d));
+
+  auto e = pool.make(cache, 9, bytes_of(40, 3));  // too big: a new block
+  EXPECT_EQ(e->capacity, 48u);
+  EXPECT_EQ(e->size, 40u);
+}
+
+TEST(BlockPool, SurplusMovesThroughTheSharedPool) {
+  // One cache recycles what another made, as a thief does with stolen
+  // frontier items; the maker gets them back through the shared pool.
+  BlockPool<int> pool;
+  BlockPool<int>::Cache maker, thief;
+  const auto bytes = bytes_of(8, 0);
+  std::set<const void*> made;
+  std::vector<BlockPool<int>::Ptr> blocks;
+  for (int i = 0; i < 256; ++i) {
+    blocks.push_back(pool.make(maker, i, bytes));
+    made.insert(blocks.back().get());
+  }
+  for (auto& b : blocks) pool.recycle(thief, std::move(b));
+  blocks.clear();
+  for (int i = 0; i < 128; ++i) {
+    blocks.push_back(pool.make(maker, i, bytes));
+    EXPECT_TRUE(made.count(blocks.back().get()))
+        << "block " << i << " is not recycled";
+  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@ using runtime::AsyncState;
 using runtime::AsyncSystem;
 using runtime::Meta;
 using runtime::Msg;
+using runtime::Payload;
 using sem::Label;
 
 /// Migratory with fusion disabled: every rendezvous uses the generic
@@ -39,8 +40,7 @@ struct Generic {
   ir::StateId hs(const char* name) const { return p.home.find_state(name); }
   ir::MsgId msg(const char* name) const { return p.find_message(name); }
 
-  Msg req_from(int src, const char* m,
-               std::vector<ir::Value> pay = {}) const {
+  Msg req_from(int src, const char* m, Payload pay = {}) const {
     Msg out;
     out.meta = Meta::Req;
     out.msg = msg(m);
@@ -48,7 +48,7 @@ struct Generic {
     out.payload = std::move(pay);
     return out;
   }
-  Msg home_req(const char* m, std::vector<ir::Value> pay = {}) const {
+  Msg home_req(const char* m, Payload pay = {}) const {
     Msg out;
     out.meta = Meta::Req;
     out.msg = msg(m);
