@@ -9,14 +9,17 @@
 // reports nack traffic, messages per op, latency spread, and Jain's fairness
 // index over per-remote completions. k = n+1 (one slot per remote plus the
 // ack buffer) eliminates nacks entirely, as §6 predicts.
+//
+// The discrete-event simulator runs every row under the "uniform" cost
+// preset (each message one cycle, free directory); latency is in those
+// cycles, from an op's issue to its completion.
 #include <cstdio>
 #include <algorithm>
 #include <iostream>
 
 #include "protocols/migratory.hpp"
 #include "refine/refined.hpp"
-#include "runtime/async_system.hpp"
-#include "sim/simulator.hpp"
+#include "sim/des.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
@@ -30,7 +33,6 @@ int main(int argc, char** argv) {
       cli.uint_flag("remotes", 8, 1, 64, "contending remotes"));
   int cycles = static_cast<int>(cli.uint_flag(
       "cycles", 40, 1, 1u << 20, "acquire/release cycles per remote"));
-  std::uint64_t seed = cli.uint_flag("seed", 11, 0, ~0ull, "scheduler seed");
   std::string json_path =
       cli.str_flag("json", "", "dump machine-readable results to this file");
   cli.finish();
@@ -42,51 +44,46 @@ int main(int argc, char** argv) {
       "E-BUF: home buffer capacity k vs nacks and fairness "
       "(migratory, %d remotes, %d cycles each)\n\n",
       n, cycles);
-  Table table({"k", "Ops", "nacks", "nacks/op", "msgs/op", "avg latency",
-               "max latency", "Jain fairness"});
+  Table table({"k", "Ops", "nacks", "nacks/op", "msgs/op",
+               "avg latency (cycles)", "max latency (cycles)",
+               "Jain fairness"});
   JsonArrayFile json;
 
   std::vector<int> ks = {2, 3, 4, n / 2, n, n + 1};
   std::sort(ks.begin(), ks.end());
   ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
+  bool finished = true;
   for (int k : ks) {
     refine::Options opts;
     opts.home_buffer_capacity = k;
     opts.channel_capacity = 8;
     auto rp = refine::refine(p, opts);
-    runtime::AsyncSystem sys(rp, n);
-    sim::SimOptions sopts;
-    sopts.seed = seed;
-    auto stats = sim::simulate(sys, w, sopts);
+    sim::WorkloadSource src(w);
+    sim::DesOptions dopts;
+    dopts.cost = *sim::CostModel::preset("uniform");
+    auto stats = sim::des_simulate(rp, src, dopts);
     JsonObject o;
     o.field("bench", "buffer_fairness")
         .field("protocol", "Migratory")
         .field("n", n)
         .field("k", k)
         .field("semantics", "asynchronous")
-        .field("engine", "sim")
+        .field("engine", "des")
         .field("jobs", 1)
         .field("symmetry", "off")
         .field("por", "off")
         .field("status", stats.finished ? "ok" : "stalled");
     if (!stats.finished) {
+      finished = false;
       json.push(o);
       table.row({strf("%d", k), "STALLED", "-", "-", "-", "-", "-", "-"});
       continue;
     }
-    std::uint64_t lat_total = 0, lat_max = 0, lat_n = 0;
-    for (const auto& r : stats.remotes) {
-      lat_total += r.latency_total;
-      lat_n += r.ops_completed;
-      lat_max = std::max(lat_max, r.latency_max);
-    }
     o.field("ops", stats.ops_total)
         .field("nacks", stats.nack)
         .field("msgs_per_op", stats.msgs_per_op())
-        .field("latency_avg", lat_n ? static_cast<double>(lat_total) /
-                                          static_cast<double>(lat_n)
-                                    : 0.0)
-        .field("latency_max", lat_max)
+        .field("latency_avg", stats.latency.mean())
+        .field("latency_max", stats.latency.max())
         .field("jain_fairness", stats.fairness_index())
         // Simulator rows: zeros keep the disk-usage schema uniform.
         .field("spill_bytes", std::size_t{0})
@@ -99,10 +96,8 @@ int main(int argc, char** argv) {
          strf("%.3f", static_cast<double>(stats.nack) /
                           static_cast<double>(stats.ops_total)),
          strf("%.2f", stats.msgs_per_op()),
-         strf("%.1f", lat_n ? static_cast<double>(lat_total) /
-                                  static_cast<double>(lat_n)
-                            : 0.0),
-         strf("%llu", static_cast<unsigned long long>(lat_max)),
+         strf("%.1f", stats.latency.mean()),
+         strf("%llu", static_cast<unsigned long long>(stats.latency.max())),
          strf("%.3f", stats.fairness_index())});
   }
 
@@ -113,5 +108,5 @@ int main(int argc, char** argv) {
       "fairness by refinement alone is impractical.\n",
       n + 1);
   if (!json_path.empty() && !json.write(json_path)) return 1;
-  return 0;
+  return finished ? 0 : 1;
 }

@@ -72,8 +72,8 @@ struct Runner {
         .field("semantics", semantics)
         .field("engine", "seq")
         .field("jobs", 1)
-        .field("symmetry", verify::to_string(opts.symmetry))
-        .field("por", verify::to_string(opts.por))
+        .field("symmetry", verify::to_string(r.symmetry))
+        .field("por", verify::to_string(r.por))
         .field("property", property)
         .field("fairness", verify::to_string(fairness))
         .field("status", verify::to_string(r.status))
@@ -81,8 +81,9 @@ struct Runner {
         .field("transitions", r.transitions)
         .field("seconds", r.seconds)
         .field("memory_bytes", r.memory_bytes)
-        // The nested-DFS liveness engine is RAM-only; zeros keep the
-        // disk-usage schema uniform across every bench's --json.
+        // The liveness engine (product BFS + Tarjan SCCs) is RAM-only;
+        // zeros keep the disk-usage schema uniform across every bench's
+        // --json.
         .field("spill_bytes", std::size_t{0})
         .field("external_bytes", std::size_t{0});
     if (!r.note.empty()) o.field("note", r.note);

@@ -26,7 +26,6 @@
 #include "protocols/migratory.hpp"
 #include "refine/refined.hpp"
 #include "sim/des.hpp"
-#include "sim/simulator.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"

@@ -3,16 +3,13 @@
 // latency statistics a DSM architect would look at (the paper's quality
 // metric, §1).
 //
-// Two engines share the flag surface:
-//   step  random-scheduler functional simulator (sim::Simulator) — latency
-//         is in scheduler steps, good for message economy and fairness
-//   des   discrete-event performance simulator (sim::des_simulate) — latency
-//         is in cycles under --cost-model, with optional --write-buffer,
-//         parallel --lanes, and trace-file workloads (--trace)
+// The discrete-event simulator (sim::des_simulate) runs every workload:
+// latency is in cycles under --cost-model, with optional --write-buffer,
+// parallel --lanes, and trace-file workloads (--trace).
 //
 //   ./dsm_simulation --remotes=8 --cycles=100 --write-fraction=0.3
-//   ./dsm_simulation --engine=des --remotes=64 --lanes=4 --cost-model=dsm
-//   ./dsm_simulation --engine=des --trace=examples/traces/sharing.trace --json
+//   ./dsm_simulation --remotes=64 --lanes=4 --cost-model=dsm
+//   ./dsm_simulation --trace=examples/traces/sharing.trace --json
 #include <cstdio>
 #include <iostream>
 #include <set>
@@ -22,9 +19,7 @@
 #include "protocols/invalidate.hpp"
 #include "protocols/migratory.hpp"
 #include "refine/refined.hpp"
-#include "runtime/async_system.hpp"
 #include "sim/des.hpp"
-#include "sim/simulator.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
@@ -35,19 +30,17 @@ using namespace ccref;
 namespace {
 
 /// Rows printed as a JSON array on stdout when --json is set; every row
-/// carries the common (protocol, n, seed, engine) identity fields first so
-/// outputs from both engines stay joinable.
+/// carries the common (protocol, n, seed, engine) identity fields first.
 struct JsonRows {
   bool enabled = false;
   std::vector<std::string> rows;
 
-  JsonObject common(const char* protocol, int n, std::uint64_t seed,
-                    const char* engine) const {
+  JsonObject common(const char* protocol, int n, std::uint64_t seed) const {
     JsonObject o;
     o.field("protocol", protocol)
         .field("n", n)
         .field("seed", seed)
-        .field("engine", engine);
+        .field("engine", "des");
     return o;
   }
   void push(const JsonObject& o) { rows.push_back(o.str()); }
@@ -60,48 +53,10 @@ struct JsonRows {
   }
 };
 
-void report_step(Table& table, JsonRows& json, const char* name, int n,
-                 std::uint64_t seed, const sim::SimStats& stats) {
+void report(Table& table, JsonRows& json, const char* name, int n,
+            std::uint64_t seed, const sim::DesStats& stats) {
   if (json.enabled) {
-    auto o = json.common(name, n, seed, "step");
-    o.field("finished", stats.finished)
-        .field("ops", stats.ops_total)
-        .field("messages", stats.messages())
-        .field("msgs_per_op", stats.msgs_per_op())
-        .field("nacks", stats.nack)
-        .field("steps", stats.steps)
-        .field("fairness", stats.fairness_index());
-    if (!stats.finished) o.field("stall", stats.stall.to_string());
-    json.push(o);
-    return;
-  }
-  if (!stats.finished) {
-    std::fprintf(stderr, "%s stalled: %s\n", name,
-                 stats.stall.to_string().c_str());
-    return;
-  }
-  std::uint64_t lat_total = 0, lat_max = 0;
-  for (const auto& r : stats.remotes) {
-    lat_total += r.latency_total;
-    lat_max = std::max(lat_max, r.latency_max);
-  }
-  table.row({name,
-             strf("%llu", static_cast<unsigned long long>(stats.ops_total)),
-             strf("%llu", static_cast<unsigned long long>(stats.messages())),
-             strf("%.2f", stats.msgs_per_op()),
-             strf("%llu", static_cast<unsigned long long>(stats.nack)),
-             strf("%.1f", stats.ops_total
-                              ? static_cast<double>(lat_total) /
-                                    static_cast<double>(stats.ops_total)
-                              : 0.0),
-             strf("%llu", static_cast<unsigned long long>(lat_max)),
-             strf("%.3f", stats.fairness_index())});
-}
-
-void report_des(Table& table, JsonRows& json, const char* name, int n,
-                std::uint64_t seed, const sim::DesStats& stats) {
-  if (json.enabled) {
-    auto o = json.common(name, n, seed, "des");
+    auto o = json.common(name, n, seed);
     o.field("finished", stats.finished)
         .field("ops", stats.ops_total)
         .field("messages", stats.messages())
@@ -161,32 +116,25 @@ int main(int argc, char** argv) {
       cli.uint_flag("cycles", 100, 1, 1u << 20, "ops per remote"));
   double write_frac = cli.double_flag("write-fraction", 0.3,
                                       "invalidate write-miss ratio");
-  std::uint64_t seed = cli.uint_flag("seed", 1, 0, ~0ull, "scheduler seed");
+  std::uint64_t seed =
+      cli.uint_flag("seed", 1, 0, ~0ull, "synthetic workload seed");
   int k = static_cast<int>(
       cli.uint_flag("home-buffer", 2, 2, 1024, "home buffer capacity k"));
   std::uint64_t max_steps = cli.uint_flag(
       "max-steps", 50'000'000, 1, ~0ull,
-      "step/event budget before a run is declared stalled");
-  std::string engine =
-      cli.str_flag("engine", "step", "simulation engine: step | des");
+      "event budget before a run is declared stalled");
   bool json = cli.bool_flag("json", false, "machine-readable JSON on stdout");
   std::string trace_path = cli.str_flag(
-      "trace", "", "replay a trace file instead of synthetic workloads (des)");
+      "trace", "", "replay a trace file instead of synthetic workloads");
   std::string cost_name = cli.str_flag(
-      "cost-model", "avalanche",
-      "cycle costs: avalanche | uniform | dsm (des)");
+      "cost-model", "avalanche", "cycle costs: avalanche | uniform | dsm");
   bool write_buffer = cli.bool_flag(
-      "write-buffer", false, "absorb stores into a remote write buffer (des)");
+      "write-buffer", false, "absorb stores into a remote write buffer");
   int lanes = static_cast<int>(
-      cli.uint_flag("lanes", 1, 1, 64, "parallel independent-home lanes (des)"));
+      cli.uint_flag("lanes", 1, 1, 64, "parallel independent-home lanes"));
   std::uint64_t addresses = cli.uint_flag(
-      "addresses", 4, 1, ~0ull, "synthetic address-space size (des)");
+      "addresses", 4, 1, ~0ull, "synthetic address-space size");
   cli.finish();
-
-  if (engine != "step" && engine != "des") {
-    std::fprintf(stderr, "--engine must be step or des\n");
-    return 2;
-  }
 
   refine::Options opts;
   opts.home_buffer_capacity = k;
@@ -194,29 +142,25 @@ int main(int argc, char** argv) {
 
   JsonRows rows;
   rows.enabled = json;
-  const bool des = engine == "des";
   Table table({"Protocol", "Ops", "Messages", "msgs/op", "nacks",
-               des ? "p50 latency" : "avg latency",
-               des ? "p99 latency" : "max latency", "Jain fairness"});
+               "p50 latency", "p99 latency", "Jain fairness"});
 
+  auto cost = sim::CostModel::preset(cost_name);
+  if (!cost) {
+    std::fprintf(stderr, "unknown --cost-model '%s'\n", cost_name.c_str());
+    return 2;
+  }
   sim::DesOptions dopts;
+  dopts.cost = *cost;
+  dopts.write_buffer = write_buffer;
+  dopts.lanes = lanes;
+  dopts.max_events = max_steps;
   sim::Trace trace;
-  if (des) {
-    auto cost = sim::CostModel::preset(cost_name);
-    if (!cost) {
-      std::fprintf(stderr, "unknown --cost-model '%s'\n", cost_name.c_str());
+  if (!trace_path.empty()) {
+    std::string err;
+    if (!sim::load_trace(trace_path, trace, err)) {
+      std::fprintf(stderr, "%s: %s\n", trace_path.c_str(), err.c_str());
       return 2;
-    }
-    dopts.cost = *cost;
-    dopts.write_buffer = write_buffer;
-    dopts.lanes = lanes;
-    dopts.max_events = max_steps;
-    if (!trace_path.empty()) {
-      std::string err;
-      if (!sim::load_trace(trace_path, trace, err)) {
-        std::fprintf(stderr, "%s: %s\n", trace_path.c_str(), err.c_str());
-        return 2;
-      }
     }
   }
 
@@ -230,17 +174,6 @@ int main(int argc, char** argv) {
 
   for (auto& [name, p] : protos) {
     auto rp = refine::refine(p, opts);
-    if (!des) {
-      runtime::AsyncSystem sys(rp, n);
-      auto w = std::string(name) == "migratory"
-                   ? sim::migratory_workload(p, n, cycles)
-                   : sim::invalidate_workload(p, n, cycles, write_frac, seed);
-      sim::SimOptions sopts;
-      sopts.seed = seed;
-      sopts.max_steps = max_steps;
-      report_step(table, rows, name, n, seed, sim::simulate(sys, w, sopts));
-      continue;
-    }
     if (!trace_path.empty()) {
       if (!trace_fits(p, trace)) {
         std::fprintf(stderr, "%s: trace has mnemonics this protocol "
@@ -249,8 +182,8 @@ int main(int argc, char** argv) {
         continue;
       }
       sim::TraceSource src(p, trace);
-      report_des(table, rows, name, static_cast<int>(src.num_nodes()), seed,
-                 sim::des_simulate(rp, src, dopts));
+      report(table, rows, name, static_cast<int>(src.num_nodes()), seed,
+             sim::des_simulate(rp, src, dopts));
       continue;
     }
     sim::SyntheticConfig cfg;
@@ -261,32 +194,21 @@ int main(int argc, char** argv) {
     cfg.write_fraction = write_frac;
     cfg.seed = seed;
     sim::SyntheticSource src(p, cfg);
-    report_des(table, rows, name, n, seed, sim::des_simulate(rp, src, dopts));
+    report(table, rows, name, n, seed, sim::des_simulate(rp, src, dopts));
   }
 
   if (json) {
     rows.print();
     return 0;
   }
-  if (des)
-    std::printf("DSM simulation (discrete-event): %d remotes, %d ops each, "
-                "k=%d, seed %llu, cost=%s, lanes=%d%s\n\n",
-                n, cycles, k, static_cast<unsigned long long>(seed),
-                cost_name.c_str(), lanes,
-                write_buffer ? ", write buffer" : "");
-  else
-    std::printf("DSM simulation: %d remotes, %d ops each, k=%d, seed %llu\n\n",
-                n, cycles, k, static_cast<unsigned long long>(seed));
+  std::printf("DSM simulation (discrete-event): %d remotes, %d ops each, "
+              "k=%d, seed %llu, cost=%s, lanes=%d%s\n\n",
+              n, cycles, k, static_cast<unsigned long long>(seed),
+              cost_name.c_str(), lanes, write_buffer ? ", write buffer" : "");
   table.print(std::cout);
-  if (des)
-    std::printf(
-        "\nLatency is in simulated cycles under the %s cost model; msgs/op "
-        "counts\nreq+ack+nack+repl wire messages per completed operation.\n",
-        cost_name.c_str());
-  else
-    std::printf(
-        "\nLatency is in scheduler steps (one asynchronous transition each); "
-        "msgs/op counts\nreq+ack+nack+repl wire messages per completed "
-        "acquire/release operation.\n");
+  std::printf(
+      "\nLatency is in simulated cycles under the %s cost model; msgs/op "
+      "counts\nreq+ack+nack+repl wire messages per completed operation.\n",
+      cost_name.c_str());
   return 0;
 }

@@ -3,8 +3,9 @@
 // protocols" — any star-topology client/server rendezvous protocol).
 //
 // Verifies mutual exclusion at both semantics, confirms the acq/grant fusion
-// and forward progress, then simulates a lock convoy and prints per-client
-// acquisition counts.
+// and forward progress, then simulates a lock convoy on the discrete-event
+// simulator (uniform cost preset: one cycle per message) and prints
+// per-client acquisition counts and waits.
 #include <cstdio>
 #include <iostream>
 
@@ -14,7 +15,7 @@
 #include "refine/refined.hpp"
 #include "runtime/async_system.hpp"
 #include "sem/rendezvous.hpp"
-#include "sim/simulator.hpp"
+#include "sim/des.hpp"
 #include "support/cli.hpp"
 #include "support/strings.hpp"
 #include "support/table.hpp"
@@ -100,7 +101,6 @@ int main(int argc, char** argv) {
   refine::Options sim_opts_r;
   sim_opts_r.channel_capacity = 16;
   auto sim_refined = refine::refine(p, sim_opts_r);
-  runtime::AsyncSystem sys(sim_refined, n);
 
   sim::Workload w;
   w.vocabulary = {"acq", "unlock"};  // active sends carry the message name
@@ -113,25 +113,24 @@ int main(int argc, char** argv) {
       q.push_back({"unlock", {"unlock"}, goal_i});
     }
 
-  sim::SimOptions sopts;
-  sopts.seed = 2024;
-  sopts.max_steps = 20'000'000;
-  auto stats = sim::simulate(sys, w, sopts);
+  sim::WorkloadSource src(w);
+  sim::DesOptions dopts;
+  dopts.cost = *sim::CostModel::preset("uniform");
+  auto stats = sim::des_simulate(sim_refined, src, dopts);
   if (!stats.finished) {
     std::fprintf(stderr, "simulation stalled: %s\n",
                  stats.stall.to_string().c_str());
     return 1;
   }
 
-  Table table({"Client", "Acquisitions", "Avg wait (steps)", "Max wait"});
+  Table table({"Client", "Acquisitions", "Avg wait (cycles)", "Max wait"});
   for (int i = 0; i < n; ++i) {
-    const auto& r = stats.remotes[i];
+    const auto& r = stats.nodes[i];
     table.row({strf("r%d", i),
-               strf("%llu",
-                    static_cast<unsigned long long>(r.ops_completed / 2)),
-               strf("%.1f", r.ops_completed
+               strf("%llu", static_cast<unsigned long long>(r.completed / 2)),
+               strf("%.1f", r.completed
                                 ? static_cast<double>(r.latency_total) /
-                                      static_cast<double>(r.ops_completed)
+                                      static_cast<double>(r.completed)
                                 : 0.0),
                strf("%llu",
                     static_cast<unsigned long long>(r.latency_max))});

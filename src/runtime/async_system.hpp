@@ -4,7 +4,7 @@
 // buffer), the implicit-nack rule R3, and the §3.3 request/reply fusion.
 //
 // The same System interface as sem::RendezvousSystem, so verify::explore
-// model-checks it and sim::Simulator executes it. Each rule is written once,
+// model-checks it and sim::des_simulate executes it. Each rule is written once,
 // against a sink that decides what an enabled edge does: the enumeration
 // sink behind successors() copies the state per edge and keeps going; the
 // in-place sink behind deliver_up/deliver_down/home_step/remote_step (the

@@ -28,6 +28,9 @@ using runtime::SendLog;
 namespace {
 
 constexpr std::uint64_t kNever = ~std::uint64_t{0};
+constexpr int kSlotCap = 64;                       // bound nodes per address
+constexpr std::uint32_t kWriteBufferCapacity = 8;  // stores before a drain
+constexpr std::uint64_t kBaseWindow = 1024;        // cross-lane sync (cycles)
 
 struct Event {
   enum Kind : std::uint8_t {
@@ -105,7 +108,7 @@ class Engine {
       : opts_(opts),
         source_(&source),
         num_nodes_(source.num_nodes()),
-        w_(std::max(1, std::min({opts.slot_cap, kMaxNodes,
+        w_(std::max(1, std::min({kSlotCap, kMaxNodes,
                                  static_cast<int>(std::max<std::uint32_t>(
                                      1, source.num_nodes()))}))),
         sys_(refined, w_),
@@ -270,9 +273,13 @@ class Engine {
 
   void complete(Lane& l, std::uint32_t node, std::uint64_t now) {
     NodeState& ns = nodes_[node];
-    l.stats.latency.record(now - ns.activated);
+    const std::uint64_t latency = now - ns.activated;
+    l.stats.latency.record(latency);
     ++l.stats.ops_total;
-    ++l.stats.nodes[node].completed;
+    NodeOps& ops = l.stats.nodes[node];
+    ++ops.completed;
+    ops.latency_total += latency;
+    ops.latency_max = std::max(ops.latency_max, latency);
     ns.active = ns.issued = false;
     DesOp op;
     if (!source_->next(node, op)) {
@@ -424,9 +431,7 @@ class Engine {
     NodeState& ns = nodes_[node];
     CCREF_ASSERT(ns.active);
     if (opts_.write_buffer && ns.op.write) {
-      if (!ns.wbuf_bypass &&
-          ns.wbuf < static_cast<std::uint32_t>(
-                        std::max(1, opts_.write_buffer_capacity))) {
+      if (!ns.wbuf_bypass && ns.wbuf < kWriteBufferCapacity) {
         // Retire the store into the write buffer: no protocol traffic.
         ++ns.wbuf;
         ++l.stats.wbuf_hits;
@@ -536,17 +541,11 @@ class Engine {
         l.cal.push(t, h);
         return t;
       }
-      if (check_budget) {
-        if (opts_.max_cycles && t > opts_.max_cycles) {
-          l.cal.push(t, h);
-          budget_stall_ = "cycle budget exhausted";
-          return t;
-        }
-        if (opts_.max_events && l.stats.events >= opts_.max_events) {
-          l.cal.push(t, h);
-          budget_stall_ = "event budget exhausted";
-          return t;
-        }
+      if (check_budget && opts_.max_events &&
+          l.stats.events >= opts_.max_events) {
+        l.cal.push(t, h);
+        budget_stall_ = "event budget exhausted";
+        return t;
       }
       const Event ev = l.pool[h];
       l.pool.release(h);
@@ -645,10 +644,10 @@ DesStats Engine::run() {
     Lane& l = *lanes_[0];
     run_until(l, kNever, /*check_budget=*/true);
   } else {
-    window_len_ = std::max<std::uint64_t>(1, opts_.window);
+    window_len_ = kBaseWindow;
     const std::uint64_t cap =
-        opts_.window_max ? std::max(opts_.window_max, window_len_)
-                         : window_len_;
+        opts_.window_max ? std::max(opts_.window_max, kBaseWindow)
+                         : kBaseWindow;
     auto on_window = [this, cap]() noexcept {
       ++windows_;
       const std::uint64_t next = window_start_ + window_len_;
@@ -668,11 +667,6 @@ DesStats Engine::run() {
         done_ = true;
         return;
       }
-      if (opts_.max_cycles && mint > opts_.max_cycles) {
-        budget_stall_ = "cycle budget exhausted";
-        done_ = true;
-        return;
-      }
       if (opts_.max_events) {
         std::uint64_t total = 0;
         for (auto& lp : lanes_) total += lp->stats.events;
@@ -685,9 +679,8 @@ DesStats Engine::run() {
       // Adapt to the observed cross-lane horizon: a handoff-free window
       // proves the lanes ran independently for its whole span, so the next
       // one doubles; any handoff resets to the base so the clamp error of
-      // interacting lanes stays bounded by `window`.
-      window_len_ = handoff ? std::max<std::uint64_t>(1, opts_.window)
-                            : std::min(window_len_ * 2, cap);
+      // interacting lanes stays bounded by the base window.
+      window_len_ = handoff ? kBaseWindow : std::min(window_len_ * 2, cap);
       window_start_ = std::max(next, (mint / window_len_) * window_len_);
     };
     std::barrier bar(lanes, on_window);
@@ -706,16 +699,16 @@ DesStats Engine::run() {
     for (auto& t : threads) t.join();
   }
 
-  DesStats out;
-  out.nodes.resize(num_nodes_);
-  std::uint64_t streams_done = 0;
-  for (auto& lp : lanes_) {
-    lp->stats.cycles = lp->now;
-    out.merge(lp->stats);
-    streams_done += lp->streams_done;
+  // Lane 0's counters become the result (its per-node vector is already
+  // sized for every node); the other lanes merge into it.
+  for (auto& lp : lanes_) lp->stats.cycles = lp->now;
+  DesStats out = std::move(lanes_[0]->stats);
+  std::uint64_t streams_done = lanes_[0]->streams_done;
+  for (std::size_t l = 1; l < lanes_.size(); ++l) {
+    out.merge(lanes_[l]->stats);
+    streams_done += lanes_[l]->streams_done;
   }
   out.windows = windows_;
-  if (opts_.max_cycles) out.cycles = std::min(out.cycles, opts_.max_cycles);
   out.finished = streams_done == num_nodes_ && budget_stall_.empty();
   if (!out.finished) {
     out.stall.reason = budget_stall_;
@@ -731,7 +724,6 @@ DesStats des_simulate(const refine::RefinedProtocol& refined,
                       OpSource& source, const DesOptions& options) {
   CCREF_REQUIRE(source.num_nodes() >= 1);
   CCREF_REQUIRE(options.lanes >= 1);
-  CCREF_REQUIRE(options.window >= 1);
   CCREF_REQUIRE_MSG(refined.base->topology == ir::Topology::Star,
                     "des_simulate drives star protocols only: the simulator "
                     "does not schedule split bus transactions (use "

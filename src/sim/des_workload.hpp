@@ -1,7 +1,7 @@
 // Workload sources for the discrete-event simulator.
 //
-// One interface, three producers: an adapter over the random-step
-// simulator's sim::Workload (used by the cross-engine agreement tests),
+// One interface, three producers: an adapter over sim::Workload (the fixed
+// per-remote op lists of E-MSG, E-BUF and lock_server's convoy),
 // synthetic generators (migratory/invalidate access streams and an
 // open-loop lock_server arrival process that scales to millions of
 // clients), and a trace-file replayer (sim/trace.hpp).
@@ -78,8 +78,7 @@ class OpMap {
 };
 
 /// Adapter over sim::Workload: same ops, same order, addr 0 for everything,
-/// zero think time — the configuration the agreement tests compare engines
-/// under.
+/// zero think time — one address instance whose remotes are the workload's.
 class WorkloadSource final : public OpSource {
  public:
   explicit WorkloadSource(const Workload& w)

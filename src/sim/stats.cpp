@@ -105,8 +105,13 @@ void DesStats::merge(const DesStats& other) {
   windows += other.windows;
   latency.merge(other.latency);
   if (nodes.size() < other.nodes.size()) nodes.resize(other.nodes.size());
-  for (std::size_t i = 0; i < other.nodes.size(); ++i)
-    nodes[i].completed += other.nodes[i].completed;
+  for (std::size_t i = 0; i < other.nodes.size(); ++i) {
+    NodeOps& n = nodes[i];
+    const NodeOps& o = other.nodes[i];
+    n.completed += o.completed;
+    n.latency_total += o.latency_total;
+    n.latency_max = std::max(n.latency_max, o.latency_max);
+  }
   finished = finished && other.finished;
   if (!stall.stalled() && other.stall.stalled()) stall = other.stall;
 }

@@ -1,5 +1,5 @@
-// Statistics for both simulators: a mergeable latency histogram, structured
-// stall diagnostics, and the discrete-event simulator's counter block.
+// Statistics of the discrete-event simulator: a mergeable latency histogram,
+// structured stall diagnostics, and the engine's counter block.
 #pragma once
 
 #include <cstdint>
@@ -59,9 +59,12 @@ struct Stall {
 /// Streams Stall::to_string() (so gtest failure messages stay one-liners).
 std::ostream& operator<<(std::ostream& os, const Stall& s);
 
-/// Per-node operation counters (discrete-event engine).
+/// Per-node operation counters: completions and their issue -> completion
+/// latency in cycles (lock_server's per-client wait columns).
 struct NodeOps {
   std::uint64_t completed = 0;
+  std::uint64_t latency_total = 0;
+  std::uint64_t latency_max = 0;
 };
 
 /// Counters of one discrete-event run; merged across lanes.

@@ -48,7 +48,11 @@ std::byte* SpillArena::map_chunk(std::size_t bytes) {
                           static_cast<unsigned long long>(next_id_++));
   int fd = ::open(path.c_str(), O_CREAT | O_RDWR | O_EXCL, 0600);
   if (fd < 0) return nullptr;
-  if (::ftruncate(fd, static_cast<off_t>(rounded)) != 0) {
+  // Reserve every block now rather than sizing a sparse file: a write
+  // through a MAP_SHARED mapping that finds the disk full arrives as
+  // SIGBUS, while a refused reservation here is an ordinary nullptr that
+  // the pools turn into an Unfinished run.
+  if (::posix_fallocate(fd, 0, static_cast<off_t>(rounded)) != 0) {
     ::close(fd);
     ::unlink(path.c_str());
     return nullptr;

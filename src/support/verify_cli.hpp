@@ -8,13 +8,12 @@
 //   --mem 64M           RAM budget for state storage (K/M/G/T suffixes)
 //   --hash-compact      store 64-bit fingerprints instead of state vectors
 //   --spill DIR         mmap-backed overflow for pools and dictionaries
-//   --spill-cap SIZE    cap on spill bytes (0 = whatever the disk holds)
-//   --spill-watermark   RAM use past which fresh chunks spill
-//                       (0 = half of --mem, leaving the tables headroom)
+//   --spill-cap SIZE    cap on spill bytes (0 = whatever the disk holds);
+//                       fresh chunks spill once RAM use passes half of
+//                       --mem, leaving the tables headroom
 //   --external DIR      disk-resident visited set: partitioned fingerprint
-//                       runs + delayed duplicate detection (external_set.hpp)
-//   --external-watermark N  pending fingerprints per partition before a
-//                       merge (0 = sized from --mem)
+//                       runs + delayed duplicate detection (external_set.hpp),
+//                       sized from --mem
 //   --jobs N            worker threads (1 = the sequential engine)
 //   --symmetry MODE     off | canonical
 //   --por MODE          off | ample
@@ -52,7 +51,7 @@ namespace ccref {
 /// Which flags of the block a driver declares.
 struct VerifyFlagSet {
   const char* mem = nullptr;  // --mem default ("64M"); null: no --mem
-  bool storage = false;       // --hash-compact, --spill*, --external*
+  bool storage = false;       // --hash-compact, --spill*, --external
   bool jobs = false;
   bool symmetry = false;
   bool por = false;
@@ -142,9 +141,6 @@ template <class Mode>
         "spill", "", "directory for mmap-backed pool overflow (default: none)");
     auto cap = static_cast<std::size_t>(cli.size_flag(
         "spill-cap", "0", 0, kMax, "max spill bytes (0: unlimited)"));
-    auto watermark = static_cast<std::size_t>(cli.size_flag(
-        "spill-watermark", "0", 0, kMax,
-        "RAM use past which chunks spill (0: half of --mem)"));
     if (!dir.empty()) {
       f.arena = std::make_unique<SpillArena>(dir, cap == 0 ? kMax : cap);
       if (!f.arena->ok()) {
@@ -152,16 +148,12 @@ template <class Mode>
                      dir.c_str());
         std::exit(2);
       }
-      f.spill = {f.arena.get(),
-                 watermark == 0 ? f.memory_limit / 2 : watermark};
+      f.spill = {f.arena.get(), f.memory_limit / 2};
     }
     std::string ext_dir = cli.str_flag(
         "external", "",
         "directory for the disk-resident visited set (delayed duplicate "
         "detection; default: none)");
-    auto ext_watermark = static_cast<std::size_t>(cli.size_flag(
-        "external-watermark", "0", 0, kMax,
-        "pending fingerprints per partition before a merge (0: from --mem)"));
     if (!ext_dir.empty()) {
       if (!ensure_run_dir(ext_dir)) {
         std::fprintf(stderr, "--external: cannot create directory '%s'\n",
@@ -169,7 +161,6 @@ template <class Mode>
         std::exit(2);
       }
       f.external.dir = std::move(ext_dir);
-      f.external.watermark = ext_watermark;
     }
   }
   if (which.jobs)

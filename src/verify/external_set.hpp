@@ -63,13 +63,11 @@
 
 namespace ccref::verify {
 
-/// `--external DIR` routing, threaded through StorageOptions. Zeroes mean
-/// "size from the memory budget" (ExternalVisitedSet::configure).
+/// `--external DIR` routing, threaded through StorageOptions. Partitions,
+/// merge watermark and cache are sized from the memory budget
+/// (ExternalVisitedSet::configure).
 struct ExternalPolicy {
-  std::string dir;            // empty: tier off
-  std::size_t partitions = 0; // pending-run fan-out (rounded to a power of 2)
-  std::size_t watermark = 0;  // pending entries per partition before a merge
-  std::size_t cache_bytes = 0;  // RAM cache front
+  std::string dir;  // empty: tier off
 
   [[nodiscard]] bool enabled() const { return !dir.empty(); }
 };
@@ -104,20 +102,12 @@ class ExternalVisitedSet {
     if (shares == 0) shares = 1;
     // Partitions bound each merge's sort to watermark entries; more of
     // them only costs append buffers, so scale gently with the budget.
-    std::size_t parts = policy.partitions;
-    if (parts == 0)
-      parts = budget_limit >= (256u << 20) ? 64
-              : budget_limit >= (16u << 20) ? 16
-                                            : 4;
-    cfg.partitions = round_pow2(parts);
-    std::size_t wm = policy.watermark;
-    if (wm == 0)
-      wm = std::clamp<std::size_t>(budget_limit / 1024 / shares, 4096,
-                                   std::size_t{1} << 20);
-    cfg.watermark = wm;
-    const std::size_t cache =
-        (policy.cache_bytes != 0 ? policy.cache_bytes : budget_limit / 4) /
-        shares;
+    cfg.partitions = budget_limit >= (256u << 20) ? 64
+                     : budget_limit >= (16u << 20) ? 16
+                                                   : 4;
+    cfg.watermark = std::clamp<std::size_t>(budget_limit / 1024 / shares,
+                                            4096, std::size_t{1} << 20);
+    const std::size_t cache = budget_limit / 4 / shares;
     cfg.cache_slots =
         round_pow2(std::max<std::size_t>(cache / sizeof(std::uint64_t),
                                          1024));

@@ -107,6 +107,10 @@ struct LivenessResult {
   double seconds = 0;
   std::string violation;           // lasso summary when LivenessViolated
   std::string note;                // engine notes (e.g. symmetry downgrade)
+  // The reductions the product search actually ran, after any downgrade
+  // named in `note` (bench rows report these, not the request).
+  SymmetryMode symmetry = SymmetryMode::Off;
+  PorMode por = PorMode::Off;
   std::vector<std::string> stem;   // labels: initial -> cycle entry
   std::vector<std::string> cycle;  // labels around the fair accepting cycle
 };
@@ -244,6 +248,8 @@ template <class Sys>
         "ample-set reduction (use --fairness none to keep it)";
     result.note = result.note.empty() ? msg : result.note + "; " + msg;
   }
+  result.symmetry = symmetry;
+  result.por = por;
   const bool strong = opts.fairness == FairnessMode::Strong && n_remotes > 0;
   const int num_procs = fairness_on ? n_remotes + 1 : 0;
   const std::uint64_t procs_mask =

@@ -180,6 +180,26 @@ TEST(LivenessSymmetry, FairnessForcesDowngradeToFullProduct) {
       << reduced.note;
 }
 
+TEST(LivenessResult, ReportsTheReductionsActuallyRun) {
+  // Weak fairness + ample sets: the engine runs the unreduced product, and
+  // the result must say por=off, not echo the request.
+  auto p = protocols::make_migratory();
+  auto rp = refine::refine(p);
+  AsyncSystem sys(rp, 2);
+  LivenessOptions opts = weak_opts();
+  opts.por = verify::PorMode::Ample;
+  opts.symmetry = verify::SymmetryMode::Canonical;
+  auto r = ltl::check_ltl(sys, "G F completion", opts);
+  EXPECT_EQ(r.por, verify::PorMode::Off) << r.note;
+  EXPECT_EQ(r.symmetry, verify::SymmetryMode::Off) << r.note;
+  EXPECT_NE(r.note.find("por downgraded"), std::string::npos) << r.note;
+  // Without fairness both reductions stay on and are reported as such.
+  opts.fairness = FairnessMode::None;
+  auto kept = ltl::check_ltl(sys, "G F completion", opts);
+  EXPECT_EQ(kept.por, verify::PorMode::Ample) << kept.note;
+  EXPECT_EQ(kept.symmetry, verify::SymmetryMode::Canonical) << kept.note;
+}
+
 TEST(LivenessSymmetry, AsymmetricFormulaIsDowngradedNotWrong) {
   // granted(0) names a concrete remote: the orbit quotient is unsound for
   // it, so check_ltl must fall back to the full space and say so.

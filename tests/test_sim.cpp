@@ -1,38 +1,50 @@
-// Tests for the workload-driven simulator: determinism, completion, message
-// accounting (the §3.3 fusion savings and the §5 hand-design comparison),
-// buffer-size effects (§6), and fairness measurement.
+// Tests for workload-driven simulation on the discrete-event engine under
+// the "uniform" cost preset: determinism, completion, message accounting
+// (the §3.3 fusion savings and the §5 hand-design comparison), buffer-size
+// effects (§6), fairness measurement, and stall diagnostics.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "protocols/invalidate.hpp"
 #include "protocols/migratory.hpp"
 #include "refine/refined.hpp"
-#include "runtime/async_system.hpp"
-#include "sim/simulator.hpp"
+#include "sim/des.hpp"
 
 namespace ccref::sim {
 namespace {
 
 using refine::Options;
-using runtime::AsyncSystem;
 
-SimStats run_migratory(int n, int cycles, Options opts = {},
-                       std::uint64_t seed = 7) {
+DesStats run(const refine::RefinedProtocol& rp, const Workload& w,
+             std::uint64_t max_events = 0) {
+  WorkloadSource src(w);
+  DesOptions d;
+  d.cost = *CostModel::preset("uniform");
+  d.max_events = max_events;
+  return des_simulate(rp, src, d);
+}
+
+DesStats run_migratory(int n, int cycles, Options opts = {}) {
   opts.channel_capacity = 8;  // simulation approximates the infinite network
   auto p = protocols::make_migratory();
-  auto rp = refine::refine(p, opts);
-  AsyncSystem sys(rp, n);
-  auto w = migratory_workload(p, n, cycles);
-  SimOptions sopts;
-  sopts.seed = seed;
-  // The protocol object must outlive the stats; run synchronously.
-  return simulate(sys, w, sopts);
+  return run(refine::refine(p, opts), migratory_workload(p, n, cycles));
+}
+
+DesStats run_invalidate(int n, int ops, double write_fraction,
+                        std::uint64_t seed) {
+  Options opts;
+  opts.channel_capacity = 8;
+  auto p = protocols::make_invalidate();
+  return run(refine::refine(p, opts),
+             invalidate_workload(p, n, ops, write_fraction, seed));
 }
 
 TEST(Sim, MigratorySingleRemoteCompletes) {
   auto stats = run_migratory(1, 10);
   EXPECT_TRUE(stats.finished) << stats.stall;
   EXPECT_EQ(stats.ops_total, 20u);  // 10 acquires + 10 releases
-  EXPECT_EQ(stats.remotes[0].ops_completed, 20u);
+  EXPECT_EQ(stats.nodes[0].completed, 20u);
 }
 
 TEST(Sim, MigratoryManyRemotesComplete) {
@@ -42,13 +54,16 @@ TEST(Sim, MigratoryManyRemotesComplete) {
 }
 
 TEST(Sim, DeterministicForSeed) {
-  auto a = run_migratory(4, 5, {}, 99);
-  auto b = run_migratory(4, 5, {}, 99);
-  EXPECT_EQ(a.steps, b.steps);
+  // The engine itself has no randomness: the same workload gives the same
+  // run, event for event. The invalidate workload's seed picks its reads
+  // and writes, so a different seed gives a different run.
+  auto a = run_invalidate(4, 10, 0.5, 99);
+  auto b = run_invalidate(4, 10, 0.5, 99);
+  EXPECT_EQ(a.events, b.events);
+  EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.messages(), b.messages());
-  auto c = run_migratory(4, 5, {}, 100);
-  // Different schedules virtually always differ in step count.
-  EXPECT_TRUE(a.steps != c.steps || a.messages() != c.messages());
+  auto c = run_invalidate(4, 10, 0.5, 100);
+  EXPECT_TRUE(a.events != c.events || a.messages() != c.messages());
 }
 
 TEST(Sim, SingleRemoteMessageCountsAreExact) {
@@ -111,26 +126,19 @@ TEST(Sim, LargerBufferReducesNacks) {
 
 TEST(Sim, FairnessIndexReasonableUnderContention) {
   auto stats = run_migratory(6, 10);
-  ASSERT_TRUE(stats.finished);
+  ASSERT_TRUE(stats.finished) << stats.stall;
   // Every remote completes its fixed workload, so the index is exactly 1;
   // the interesting spread shows up in latency instead.
   EXPECT_DOUBLE_EQ(stats.fairness_index(), 1.0);
   std::uint64_t max_latency = 0;
-  for (const auto& r : stats.remotes)
+  for (const auto& r : stats.nodes)
     max_latency = std::max(max_latency, r.latency_max);
   EXPECT_GT(max_latency, 0u);
+  EXPECT_EQ(max_latency, stats.latency.max());
 }
 
 TEST(Sim, InvalidateWorkloadCompletes) {
-  auto p = protocols::make_invalidate();
-  Options opts;
-  opts.channel_capacity = 8;
-  auto rp = refine::refine(p, opts);
-  AsyncSystem sys(rp, 4);
-  auto w = invalidate_workload(p, 4, 10, 0.3, 42);
-  SimOptions sopts;
-  sopts.seed = 5;
-  auto stats = simulate(sys, w, sopts);
+  auto stats = run_invalidate(4, 10, 0.3, 42);
   EXPECT_TRUE(stats.finished) << stats.stall;
   EXPECT_EQ(stats.ops_total, 80u);
   EXPECT_GT(stats.completions, 0u);
@@ -139,15 +147,8 @@ TEST(Sim, InvalidateWorkloadCompletes) {
 TEST(Sim, InvalidateReadsShareWritesExclude) {
   // All-read workload completes with strictly fewer messages than all-write
   // (no invalidation sweeps needed).
-  auto p = protocols::make_invalidate();
-  Options opts;
-  opts.channel_capacity = 8;
-  auto rp = refine::refine(p, opts);
-  AsyncSystem sys(rp, 4);
-  SimOptions sopts;
-  sopts.seed = 5;
-  auto reads = simulate(sys, invalidate_workload(p, 4, 10, 0.0, 42), sopts);
-  auto writes = simulate(sys, invalidate_workload(p, 4, 10, 1.0, 42), sopts);
+  auto reads = run_invalidate(4, 10, 0.0, 42);
+  auto writes = run_invalidate(4, 10, 1.0, 42);
   ASSERT_TRUE(reads.finished) << reads.stall;
   ASSERT_TRUE(writes.finished) << writes.stall;
   EXPECT_LT(reads.messages(), writes.messages());
@@ -172,19 +173,17 @@ TEST(Sim, WorkloadGeneratorShapes) {
 
 TEST(Sim, StallReportedWhenWorkloadImpossible) {
   // An op whose goal can never be reached (D1 needs an invalidation, but
-  // there is no second remote) must hit the step budget and report a stall.
+  // there is no second remote) must end within the event budget and report
+  // a stall.
   auto p = protocols::make_migratory();
-  auto rp = refine::refine(p);
-  AsyncSystem sys(rp, 1);
   Workload w;
   w.vocabulary = {"req", "evict"};
   w.per_remote.resize(1);
   w.per_remote[0].push_back(
       {"impossible", {"req"}, p.remote.find_state("D1")});
-  SimOptions sopts;
-  sopts.max_steps = 1000;
-  auto stats = simulate(sys, w, sopts);
+  auto stats = run(refine::refine(p), w, /*max_events=*/1000);
   EXPECT_FALSE(stats.finished);
+  EXPECT_LE(stats.events, 1000u);
   ASSERT_TRUE(stats.stall.stalled());
   // The structured diagnostics name the wedged op and where it sits.
   EXPECT_EQ(stats.stall.op, "impossible");
@@ -197,19 +196,49 @@ TEST(Sim, ObligatoryActionsAreNeverGated) {
   // r0 acquires then goes quiet holding the line; r1's acquire triggers an
   // inv that r0 must answer despite having no ops left.
   auto p = protocols::make_migratory();
-  auto rp = refine::refine(p);
-  AsyncSystem sys(rp, 2);
   Workload w;
   w.vocabulary = {"req", "evict"};
   w.per_remote.resize(2);
   const ir::StateId goal_v = p.remote.find_state("V");
   w.per_remote[0].push_back({"acquire", {"req"}, goal_v});
   w.per_remote[1].push_back({"acquire", {"req"}, goal_v});
-  SimOptions sopts;
-  sopts.seed = 3;
-  auto stats = simulate(sys, w, sopts);
+  auto stats = run(refine::refine(p), w);
   EXPECT_TRUE(stats.finished) << stats.stall;
   EXPECT_EQ(stats.ops_total, 2u);
+}
+
+// The paper's message-economy claims, on the E-MSG and E-BUF
+// configurations: the uncontended costs are exact (3 / 2 / 1.5 messages per
+// op for generic / refined / hand design), the hand design never sends an
+// ack, fusion always saves messages, and a home buffer with a slot per
+// remote (k >= n) never nacks (§6).
+TEST(Sim, PaperClaimsUnderUniformCosts) {
+  Options generic;
+  generic.request_reply_fusion = false;
+  Options refined;
+  Options hand;
+  hand.elide_ack = {"LR"};
+  auto g1 = run_migratory(1, 50, generic);
+  auto r1 = run_migratory(1, 50, refined);
+  auto h1 = run_migratory(1, 50, hand);
+  EXPECT_DOUBLE_EQ(g1.msgs_per_op(), 3.0);
+  EXPECT_DOUBLE_EQ(r1.msgs_per_op(), 2.0);
+  EXPECT_DOUBLE_EQ(h1.msgs_per_op(), 1.5);
+  for (int n : {1, 4, 8}) {
+    auto g = run_migratory(n, 10, generic);
+    auto r = run_migratory(n, 10, refined);
+    auto h = run_migratory(n, 10, hand);
+    ASSERT_TRUE(g.finished && r.finished && h.finished) << n;
+    EXPECT_EQ(h.ack, 0u) << n;
+    EXPECT_GT(g.msgs_per_op(), r.msgs_per_op()) << n;
+  }
+  for (int k : {8, 9}) {
+    Options buffered;
+    buffered.home_buffer_capacity = k;
+    auto s = run_migratory(8, 10, buffered);
+    ASSERT_TRUE(s.finished) << s.stall;
+    EXPECT_EQ(s.nack, 0u) << "k=" << k;
+  }
 }
 
 }  // namespace

@@ -3,10 +3,16 @@
 // budget == memory_used honesty invariant when pools straddle RAM and
 // disk, and the end-to-end payoff — a checker run that the RAM budget
 // alone leaves Unfinished completes once the pools may spill.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <sys/syscall.h>
+#include <unistd.h>
 
+#include <cstring>
 #include <filesystem>
 #include <thread>
+#include <vector>
 
 #include "protocols/migratory.hpp"
 #include "refine/refined.hpp"
@@ -17,6 +23,29 @@
 #include "verify/collapse.hpp"
 #include "verify/par_checker.hpp"
 #include "verify/state_set.hpp"
+
+namespace {
+
+/// st_size/st_blocks of each spill chunk file at the moment map_chunk
+/// unlinks it — the last moment the file has a name (the mapping keeps the
+/// inode alive). Armed by one test; every other unlink passes straight
+/// through.
+struct UnlinkProbe {
+  bool armed = false;
+  std::vector<struct stat> chunks;
+} g_unlink_probe;
+
+}  // namespace
+
+// Replaces libc's unlink for this test binary (the spill library is linked
+// statically, so map_chunk's call lands here) and forwards to the syscall.
+extern "C" int unlink(const char* path) noexcept {
+  struct stat st {};
+  if (g_unlink_probe.armed && std::strstr(path, "/chunk-") != nullptr &&
+      ::stat(path, &st) == 0)
+    g_unlink_probe.chunks.push_back(st);
+  return static_cast<int>(::syscall(SYS_unlinkat, AT_FDCWD, path, 0));
+}
 
 namespace ccref {
 namespace {
@@ -83,6 +112,26 @@ TEST(SpillArena, FilesAreUnlinkedImmediately) {
   for ([[maybe_unused]] auto& e : fs::directory_iterator(dir.path)) ++entries;
   EXPECT_EQ(entries, 0u);
   arena.unmap_chunk(p, 4 << 10);
+}
+
+TEST(SpillArena, ChunkBlocksAreReservedUpFront) {
+  // A sparse chunk would meet a full disk only when a store through the
+  // MAP_SHARED mapping faults in a block, as SIGBUS. map_chunk must own
+  // every block before it hands the chunk out.
+  TempDir dir;
+  SpillArena arena(dir.path.string());
+  ASSERT_TRUE(arena.ok());
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  g_unlink_probe.chunks.clear();
+  g_unlink_probe.armed = true;
+  std::byte* p = arena.map_chunk(kBytes);
+  g_unlink_probe.armed = false;
+  ASSERT_NE(p, nullptr);
+  ASSERT_EQ(g_unlink_probe.chunks.size(), 1u);
+  const struct stat& st = g_unlink_probe.chunks[0];
+  EXPECT_EQ(static_cast<std::size_t>(st.st_size), kBytes);
+  EXPECT_GE(static_cast<std::size_t>(st.st_blocks) * 512, kBytes);
+  arena.unmap_chunk(p, kBytes);
 }
 
 TEST(SpillArena, CapRefusesExcess) {
